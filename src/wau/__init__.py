@@ -13,8 +13,7 @@ from .attention import AttentionDecoder, AttentionRecord, WauConfig
 from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .conv import ConvSpec, bilinear_upsample, conv2d, transposed_conv_upsample
 from .stage import UpsampleStack, UpsamplerKind, build_stage
-from .tensor import (ContractError, NumericsError, ShapeError, Tape, Tensor,
-                     tensor)
+from .tensor import ContractError, NumericsError, ShapeError, Tape, Tensor
 from .windows import WindowGrid, merge, paired_partition, partition
 
 __version__ = "0.1.0"
@@ -25,6 +24,5 @@ __all__ = [
     "UpsampleStack", "UpsamplerKind", "WauConfig", "WindowGrid",
     "bilinear_upsample", "build_stage", "conv2d", "flops_ad", "flops_wad",
     "gradcheck", "measure", "mem_ad", "mem_wad", "merge", "paired_partition",
-    "parse_config", "partition", "serialize_config", "tensor",
-    "transposed_conv_upsample",
+    "parse_config", "partition", "serialize_config", "transposed_conv_upsample",
 ]

@@ -197,54 +197,40 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
 # Upsampling
 # ---------------------------------------------------------------------------
 
-def _axis_weights(out_size: int, in_size: int, factor: int, dtype):
-    """Half-pixel-aligned source indices and fractions for one axis."""
-    src = (np.arange(out_size, dtype=np.float64) + 0.5) / factor - 0.5
+def _axis_matrix(in_size: int, factor: int, dtype) -> np.ndarray:
+    """(in_size*factor, in_size) half-pixel-aligned two-tap weights of one axis."""
+    src = (np.arange(in_size * factor, dtype=np.float64) + 0.5) / factor - 0.5
     src = np.clip(src, 0.0, in_size - 1)
     i0 = np.floor(src).astype(np.int64)
-    i0 = np.minimum(i0, in_size - 1)
     frac = (src - i0).astype(dtype)
-    i1 = np.minimum(i0 + 1, in_size - 1)
-    return i0, i1, frac
+    rows = np.arange(src.size)
+    u = np.zeros((src.size, in_size), dtype=dtype)
+    u[rows, i0] = 1.0 - frac
+    u[rows, np.minimum(i0 + 1, in_size - 1)] += frac
+    return u
 
 
 def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
     """Bilinear interpolation by an integer factor with half-pixel centers.
 
     Source coordinate for output pixel d is (d + 0.5)/factor - 0.5, clamped
-    to the valid range; factor 1 reproduces the input exactly.
+    to the valid range; factor 1 reproduces the input exactly. The filter is
+    separable: with per-axis matrices Uy (Ho x H) and Ux (Wo x W), each
+    (H, W) slice maps to Uy @ x @ Ux^T, and backward to Uy^T @ g @ Ux.
     """
     if x.ndim != 4:
         raise ShapeError(f"bilinear_upsample expects (N, C, H, W), got {x.shape}")
     if factor < 1:
         raise ContractError(f"factor must be >= 1, got {factor}")
     xd = x.data
-    N, C, H, W = xd.shape
-    Ho, Wo = H * factor, W * factor
-    y0, y1, fy = _axis_weights(Ho, H, factor, xd.dtype)
-    x0, x1, fx = _axis_weights(Wo, W, factor, xd.dtype)
-
-    wy0 = (1.0 - fy).reshape(1, 1, Ho, 1)
-    wy1 = fy.reshape(1, 1, Ho, 1)
-    wx0 = (1.0 - fx).reshape(1, 1, 1, Wo)
-    wx1 = fx.reshape(1, 1, 1, Wo)
-
-    r0 = xd[:, :, y0, :]
-    r1 = xd[:, :, y1, :]
-    out_data = (r0[:, :, :, x0] * (wy0 * wx0) + r0[:, :, :, x1] * (wy0 * wx1) +
-                r1[:, :, :, x0] * (wy1 * wx0) + r1[:, :, :, x1] * (wy1 * wx1))
+    uy = _axis_matrix(xd.shape[2], factor, xd.dtype)
+    ux = _axis_matrix(xd.shape[3], factor, xd.dtype)
+    out_data = uy @ xd @ ux.T
     _check_finite(out_data, "bilinear_upsample")
     out = Tensor(out_data)
 
     def fn(g, acc):
-        gx = np.zeros((N, C, H * W), dtype=xd.dtype)
-        corners = ((y0, x0, wy0 * wx0), (y0, x1, wy0 * wx1),
-                   (y1, x0, wy1 * wx0), (y1, x1, wy1 * wx1))
-        for yi, xi, w in corners:
-            flat = (yi[:, None] * W + xi[None, :]).reshape(-1)
-            vals = (g * w).reshape(N, C, -1)
-            np.add.at(gx, (slice(None), slice(None), flat), vals)
-        acc.add(x, gx.reshape(N, C, H, W))
+        acc.add(x, uy.T @ g @ ux)
 
     record("bilinear_upsample", (x,), out, fn)
     return out

@@ -7,10 +7,12 @@ forward value eagerly and, when a tape is active, records a backward rule.
 Recording order is topological order, so replaying the tape in reverse
 propagates gradients correctly.
 
-Numerics policy: any non-finite value produced by an operation (forward or
-backward) raises NumericsError immediately; nothing propagates silently.
-All reductions use a fixed order, so repeated runs on identical inputs are
-bitwise identical in single-threaded execution.
+Numerics policy: a non-finite forward value raises NumericsError at the op
+that made it. Backward values are checked at leaf write-back: a NaN or Inf
+in an intermediate gradient reaches a leaf under IEEE arithmetic, so it
+raises there; nothing propagates silently. All reductions use a fixed
+order, so repeated runs on identical inputs are bitwise identical in
+single-threaded execution.
 """
 from __future__ import annotations
 
@@ -142,7 +144,12 @@ class _Node:
 
 
 class _BackwardPass:
-    """Per-replay gradient accumulator keyed by tensor identity."""
+    """Per-replay gradient accumulator keyed by tensor identity.
+
+    Each node's output gradient is popped before its rule runs, so it is
+    freed once consumed; what is left at the end, and written back, are the
+    leaf gradients.
+    """
 
     def __init__(self):
         self._entries: dict[int, list] = {}
@@ -150,8 +157,8 @@ class _BackwardPass:
     def seed(self, t: Tensor, arr: np.ndarray) -> None:
         self._entries[id(t)] = [t, arr]
 
-    def get(self, t: Tensor) -> np.ndarray | None:
-        e = self._entries.get(id(t))
+    def pop(self, t: Tensor) -> np.ndarray | None:
+        e = self._entries.pop(id(t), None)
         return None if e is None else e[1]
 
     def add(self, t: Tensor, arr: np.ndarray) -> None:
@@ -210,7 +217,7 @@ class Tape:
         run = _BackwardPass()
         run.seed(loss, np.ones_like(loss.data))
         for node in reversed(self._nodes):
-            g = run.get(node.out)
+            g = run.pop(node.out)
             if g is None:
                 continue
             node.fn(g, run)
@@ -224,7 +231,7 @@ class Tape:
 
 
 def backward(loss: Tensor, tape: Tape | None = None) -> None:
-    """Propagate d(loss)/d(ancestor) into .grad of every recorded ancestor."""
+    """Propagate d(loss)/d(leaf) into .grad of every leaf ancestor of loss."""
     if tape is None:
         if not _TAPES:
             raise ContractError("backward called with no active tape")

@@ -190,33 +190,36 @@ class TrainRun:
     @classmethod
     def load_checkpoint(cls, ckpt_dir) -> "TrainRun":
         ckpt = Path(ckpt_dir)
+        for required in ("state.txt", "config.ini", "history.csv"):
+            if not (ckpt / required).is_file():
+                raise ConfigError(f"not a checkpoint directory: {ckpt} has no {required}")
         state_file = ckpt / "state.txt"
-        if not state_file.is_file():
-            raise ConfigError(f"not a checkpoint directory: {ckpt}")
         cfg = parse_config_text((ckpt / "config.ini").read_text())
         run = cls(cfg)
         state = {}
         for line in state_file.read_text().splitlines():
             key, _, value = line.partition(" = ")
             state[key] = value
-        run.epoch = int(state["epoch"])
-        run.batch_pos = int(state["batch_pos"])
-        run.global_step = int(state["global_step"])
-        run.opt.t = int(state["adam_t"])
-        run.loss_sum = float(state["loss_sum"])
-        run.dsc_sum = float(state["dsc_sum"])
-        run.sample_count = int(state["sample_count"])
-        run.rng.bit_generator.state = json.loads(state["rng_state"])
-        run.perm = (None if state["perm"] == "" else
-                    np.array([int(s) for s in state["perm"].split(",")], dtype=np.int64))
+        try:
+            (run.epoch, run.batch_pos, run.global_step, run.opt.t, run.sample_count) = (
+                int(state[k]) for k in
+                ("epoch", "batch_pos", "global_step", "adam_t", "sample_count"))
+            run.loss_sum, run.dsc_sum = float(state["loss_sum"]), float(state["dsc_sum"])
+            run.rng.bit_generator.state = json.loads(state["rng_state"])
+            run.perm = (None if state["perm"] == "" else
+                        np.array([int(s) for s in state["perm"].split(",")], dtype=np.int64))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{state_file}: missing or malformed entry: {exc!r}") from exc
+        if run.perm is not None and not np.array_equal(np.sort(run.perm),
+                                                       np.arange(len(run.train_set))):
+            raise ConfigError(f"{state_file}: perm is not a permutation of the train set")
         history_lines = (ckpt / "history.csv").read_text().splitlines()
         run.history = history_lines[1:]
         load_parameters(run.model, ckpt)
         for name, _ in run.model.parameters():
-            run.opt.m[name] = read_tensor(ckpt / "tensors" / f"adam_m__{name}.waut") \
-                .reshape(run.opt.m[name].shape).astype(run.opt.m[name].dtype, copy=False)
-            run.opt.v[name] = read_tensor(ckpt / "tensors" / f"adam_v__{name}.waut") \
-                .reshape(run.opt.v[name].shape).astype(run.opt.v[name].dtype, copy=False)
+            for moments, kind in ((run.opt.m, "adam_m"), (run.opt.v, "adam_v")):
+                moments[name] = _read_exact(ckpt / "tensors" / f"{kind}__{name}.waut",
+                                            moments[name], f"{kind} {name}")
         return run
 
     # -- main loop -----------------------------------------------------------
@@ -261,18 +264,22 @@ def train(cfg: RunConfig, out_dir, resume=None) -> TrainRun:
     return run
 
 
+def _read_exact(path: Path, like: np.ndarray, what: str) -> np.ndarray:
+    """Read a tensor dump whose stored dims must be `like`'s shape padded to rank 4."""
+    if not path.is_file():
+        raise ConfigError(f"checkpoint is missing {what}")
+    arr = read_tensor(path)
+    want = (1,) * (4 - like.ndim) + like.shape
+    if arr.shape != want:
+        raise ConfigError(
+            f"checkpoint {what} is stored as {arr.shape}, model wants {like.shape}")
+    return arr.reshape(like.shape).astype(like.dtype, copy=False)
+
+
 def load_parameters(model: ToyNet, ckpt_dir) -> None:
     tensors = Path(ckpt_dir) / "tensors"
     for name, p in model.parameters():
-        path = tensors / f"param__{name}.waut"
-        if not path.is_file():
-            raise ConfigError(f"checkpoint is missing parameter {name}")
-        arr = read_tensor(path)
-        if arr.size != p.size:
-            raise ConfigError(
-                f"checkpoint parameter {name} has {arr.size} scalars, "
-                f"model wants {p.size}")
-        p.data = arr.reshape(p.data.shape).astype(p.data.dtype, copy=False)
+        p.data = _read_exact(tensors / f"param__{name}.waut", p.data, f"parameter {name}")
 
 
 def evaluate(cfg: RunConfig, ckpt_dir) -> dict[str, float]:

@@ -1,5 +1,6 @@
 """Config file parsing and the command-line front end."""
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
@@ -233,6 +234,17 @@ class TestCliTrainEval:
                      "--out", str(tmp_path / "x")])
         assert code == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_resume_from_truncated_state_is_config_error(self, tmp_path, trained,
+                                                         capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained["final"], ckpt)
+        state = ckpt / "state.txt"
+        state.write_text(state.read_text()[:40])
+        code = main(["train", "--resume", str(ckpt), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
 
 
 class TestCliExportViz:

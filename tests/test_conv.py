@@ -8,7 +8,7 @@ from conftest import naive_bilinear, naive_conv2d, naive_transposed
 from wau.analysis import gradcheck
 from wau.conv import (ConvSpec, TransposedConv, bilinear_upsample, conv2d,
                       maxpool2, transposed_conv_upsample)
-from wau.tensor import ContractError, ShapeError, Tape, sum_all, tensor
+from wau.tensor import ContractError, ShapeError, Tape, mul, sum_all, tensor
 
 
 def dtensor(arr, grad=False):
@@ -133,6 +133,33 @@ class TestBilinear:
         x = dtensor(rng.normal(size=(1, 2, 3, 3)), grad=True)
         report = gradcheck(lambda: bilinear_upsample(x, 2), [("input", x)])
         assert report.max_rel_error < 1e-7
+
+    @pytest.mark.parametrize("factor,h,w", [(2, 3, 3), (2, 3, 5), (3, 4, 2), (4, 2, 3)])
+    def test_gradcheck_weighted(self, rng, factor, h, w):
+        x = dtensor(rng.normal(size=(1, 2, h, w)), grad=True)
+        weights = dtensor(rng.normal(size=(1, 2, h * factor, w * factor)))
+        report = gradcheck(lambda: mul(bilinear_upsample(x, factor), weights),
+                           [("input", x)])
+        assert report.max_rel_error < 1e-7
+
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    def test_backward_is_the_adjoint(self, rng, factor):
+        # <U x, g> = <x, U^T g>, with U^T g taken from the backward pass
+        x = dtensor(rng.normal(size=(2, 3, 4, 5)), grad=True)
+        g = rng.normal(size=(2, 3, 4 * factor, 5 * factor))
+        with Tape() as tape:
+            up = bilinear_upsample(x, factor)
+            tape.backward(sum_all(mul(up, dtensor(g))))
+        lhs = float((up.data * g).sum())
+        rhs = float((x.data * x.grad).sum())
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    def test_batch_bitwise_equals_per_item(self, rng):
+        x_arr = rng.normal(size=(3, 4, 5, 6)).astype(np.float32)
+        batched = bilinear_upsample(tensor(x_arr), 2).numpy()
+        for i in range(3):
+            single = bilinear_upsample(tensor(x_arr[i:i + 1]), 2).numpy()
+            np.testing.assert_array_equal(batched[i:i + 1], single)
 
     def test_factor_must_be_positive(self, rng):
         with pytest.raises(ContractError):

@@ -5,11 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import wau
 from wau.tensor import (ContractError, NumericsError, ShapeError, Tape,
                         Tensor, add, add_scalar, div, layer_norm,
                         log_softmax_rows, matmul, mean_all, mul, permute,
-                        relu, reshape, scale, softmax_rows, sub, sum_all,
-                        tensor, transpose_last2, uniform_param, zeros)
+                        record, relu, reshape, scale, softmax_rows, sub,
+                        sum_all, tensor, transpose_last2, uniform_param, zeros)
 
 fin32 = st.floats(-50, 50, width=32)
 
@@ -46,6 +47,12 @@ class TestTensorConstruction:
 
     def test_zeros(self):
         assert not zeros((2, 3)).data.any()
+
+
+def test_package_exposes_the_tensor_module():
+    import wau.tensor as T
+    assert T.Tape is wau.Tape
+    assert "tensor" not in wau.__all__
 
 
 class TestOpValues:
@@ -165,6 +172,32 @@ class TestTapeBackward:
             once = x.grad.copy()
             tape.backward(loss)
         np.testing.assert_array_equal(x.grad, 2 * once)
+
+    def test_only_leaves_receive_gradients(self, rng):
+        x = tensor(rng.normal(size=(2, 3)).astype(np.float64))
+        x.requires_grad = True
+        with Tape() as tape:
+            y = mul(x, x)
+            z = scale(y, 3.0)
+            loss = sum_all(z)
+            tape.backward(loss)
+        assert y.grad is None and z.grad is None and loss.grad is None
+        np.testing.assert_allclose(x.grad, 6 * x.numpy(), atol=1e-12)
+
+    def test_nan_in_intermediate_gradient_is_caught_at_the_leaf(self):
+        x = tensor([1.0, 2.0], precision="double")
+        x.requires_grad = True
+
+        def poison(a):
+            out = Tensor(a.data.copy())
+            record("poison", (a,), out,
+                   lambda g, acc: acc.add(a, np.full_like(g, np.nan)))
+            return out
+
+        with Tape() as tape:
+            loss = sum_all(poison(scale(x, 2.0)))
+            with pytest.raises(NumericsError, match="non-finite values in gradient"):
+                tape.backward(loss)
 
     def test_reset_clears_gradients(self, rng):
         x = tensor(rng.normal(size=(3,)).astype(np.float64))

@@ -1,8 +1,11 @@
 """Training loop: bookkeeping, determinism, resumable checkpoints, aborts."""
+import re
+
 import numpy as np
 import pytest
 
 from wau.config import ConfigError, DataConfig, ModelConfig, RunConfig, TrainConfig
+from wau.tensorio import read_tensor, write_tensor
 from wau.toyseg.train import (METRICS_HEADER, TrainingAborted, TrainRun,
                               evaluate, load_parameters, train)
 
@@ -140,6 +143,42 @@ class TestCheckpointResume:
         victim.unlink()
         with pytest.raises(ConfigError):
             load_parameters(run.model, ckpt)
+
+    @pytest.mark.parametrize("victim", ["history.csv", "config.ini",
+                                        "tensors/adam_v__head.bias.waut"])
+    def test_missing_file_rejected(self, tmp_path, victim):
+        train(tiny_cfg(epochs=1, warmup_epochs=0), tmp_path)
+        ckpt = tmp_path / "checkpoints" / "final"
+        (ckpt / victim).unlink()
+        with pytest.raises(ConfigError, match="missing|no "):
+            TrainRun.load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("kind", ["param", "adam_m", "adam_v"])
+    def test_same_size_wrong_shape_rejected(self, tmp_path, kind):
+        run = train(tiny_cfg(epochs=1, warmup_epochs=0), tmp_path)
+        ckpt = tmp_path / "checkpoints" / "final"
+        name, p = next((n, p) for n, p in run.model.parameters()
+                       if p.ndim == 4 and p.shape[0] != p.shape[1])
+        path = ckpt / "tensors" / f"{kind}__{name}.waut"
+        c_out, c_in, kh, kw = p.shape
+        write_tensor(path, read_tensor(path).reshape(c_in, c_out, kh, kw))
+        with pytest.raises(ConfigError, match="stored as"):
+            TrainRun.load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("garble", [
+        lambda text: text[:len(text) // 2],
+        lambda text: text.replace("epoch = ", "epoch = one"),
+        lambda text: text.replace("rng_state = {", "rng_state = {{"),
+        lambda text: re.sub(r"perm = (\d+),.*", r"perm = \1", text),
+    ], ids=["truncated", "bad_int", "bad_json", "short_perm"])
+    def test_garbled_state_rejected(self, tmp_path, garble):
+        train(tiny_cfg(epochs=2, checkpoint_every=3), tmp_path)
+        state = tmp_path / "checkpoints" / "step_3" / "state.txt"
+        text = state.read_text()
+        state.write_text(garble(text))
+        assert state.read_text() != text
+        with pytest.raises(ConfigError):
+            TrainRun.load_checkpoint(state.parent)
 
     def test_evaluate_matches_final_history_row(self, tmp_path):
         cfg = tiny_cfg()
