@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Train the four upsampler variants on the same data and compare them.
 
-Runs bilinear, transposed, wad_only, and wau back to back with identical
+Runs bilinear, transposed, wau, and wad_only back to back with identical
 seed/schedule/data, then prints their final validation DSC/HD side by side
 (the structural analog of the upsampling-operator ablation). Variant runs
 land in <out>/<variant>/ with full metrics CSVs and checkpoints.
@@ -16,10 +16,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from wau.cli import CONFIG_ERRORS
 from wau.config import RunConfig, parse_config
-from wau.toyseg.train import train
+from wau.stage import UPSAMPLERS
+from wau.toyseg.train import METRICS_HEADER, train
 
-VARIANTS = ("bilinear", "transposed", "wad_only", "wau")
+COLUMNS = METRICS_HEADER.split(",")
 
 
 def main() -> int:
@@ -29,28 +31,35 @@ def main() -> int:
     ap.add_argument("--out", type=Path, default=Path("compare-out"))
     ap.add_argument("--seed", type=int, default=None)
     args = ap.parse_args()
+    try:
+        return compare(args)
+    except CONFIG_ERRORS as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
+
+def compare(args) -> int:
     base = parse_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         base.train.seed = args.seed
 
     results = {}
-    for variant in VARIANTS:
+    for variant in UPSAMPLERS:
         cfg = copy.deepcopy(base)
         cfg.model.upsampler = variant
         t0 = time.time()
         run = train(cfg, args.out / variant)
         elapsed = time.time() - t0
-        last = run.history[-1].split(",")
-        results[variant] = (float(last[5]), float(last[6]), elapsed)
+        last = dict(zip(COLUMNS, run.history[-1].split(",")))
+        results[variant] = (float(last["val_dsc"]), float(last["val_hd"]), elapsed)
         print(f"[{variant}] done in {elapsed:.1f}s")
 
     print()
     print(f"{'upsampler':<12} {'val_dsc':>10} {'val_hd':>10} {'seconds':>9}")
-    for variant in VARIANTS:
+    for variant in UPSAMPLERS:
         dsc, hd, sec = results[variant]
         print(f"{variant:<12} {dsc:>10.4f} {hd:>10.4f} {sec:>9.1f}")
-    ordering = sorted(VARIANTS, key=lambda v: -results[v][0])
+    ordering = sorted(UPSAMPLERS, key=lambda v: -results[v][0])
     print(f"\nDSC ordering: {' > '.join(ordering)}")
     return 0
 

@@ -18,8 +18,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wau.analysis import flops_wad
+from wau.cli import CONFIG_ERRORS
 from wau.config import RunConfig, parse_config
-from wau.toyseg.train import train
+from wau.toyseg.train import METRICS_HEADER, train
+
+COLUMNS = METRICS_HEADER.split(",")
 
 
 def main() -> int:
@@ -29,7 +32,16 @@ def main() -> int:
     ap.add_argument("--windows", type=int, nargs="+", default=[2, 4, 8])
     ap.add_argument("--seed", type=int, default=None)
     args = ap.parse_args()
+    if min(args.windows) < 1:
+        ap.error(f"window sizes must be >= 1, got {min(args.windows)}")
+    try:
+        return ablate(args)
+    except CONFIG_ERRORS as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
+
+def ablate(args) -> int:
     base = parse_config(args.config) if args.config else RunConfig()
     base.model.upsampler = "wau"
     if args.seed is not None:
@@ -47,7 +59,7 @@ def main() -> int:
         t0 = time.time()
         run = train(cfg, args.out / f"window{m2}")
         elapsed = time.time() - t0
-        dsc = float(run.history[-1].split(",")[5])
+        dsc = float(dict(zip(COLUMNS, run.history[-1].split(",")))["val_dsc"])
         # attention cost of the deepest decoder stage under the closed form
         c = base.model.base_channels << (base.model.depth - 1)
         cost = flops_wad(deepest, deepest, c, base.model.proj_kernel, 2, m2)

@@ -12,7 +12,7 @@ from .analysis import flops_ad, flops_wad, gradcheck, measure, mem_ad, mem_wad
 from .attention import AttentionDecoder, AttentionRecord, WauConfig
 from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .conv import ConvSpec, bilinear_upsample, conv2d, transposed_conv_upsample
-from .stage import UpsampleStack, UpsamplerKind, build_stage
+from .stage import UPSAMPLERS, build_stage
 from .tensor import ContractError, NumericsError, ShapeError, Tape, Tensor
 from .windows import WindowGrid, merge, paired_partition, partition
 
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttentionDecoder", "AttentionRecord", "ConfigError", "ContractError",
     "ConvSpec", "NumericsError", "RunConfig", "ShapeError", "Tape", "Tensor",
-    "UpsampleStack", "UpsamplerKind", "WauConfig", "WindowGrid",
+    "UPSAMPLERS", "WauConfig", "WindowGrid",
     "bilinear_upsample", "build_stage", "conv2d", "flops_ad", "flops_wad",
     "gradcheck", "measure", "mem_ad", "mem_wad", "merge", "paired_partition",
     "parse_config", "partition", "serialize_config", "transposed_conv_upsample",

@@ -51,18 +51,30 @@ def _check_positive(**kwargs: int) -> None:
             raise ContractError(f"{name} must be a positive integer, got {v!r}")
 
 
+def attention_flops(h2: int, w2: int, c: int, n: int, m2: int | None = None) -> int:
+    """The two attention products' term: global if m2 is None, else windowed.
+
+    Every one of the n^2*H2*W2 queries meets H2*W2 keys globally, M2^2 in
+    its window; scores and the weighted sum each cost C per pair.
+    """
+    _check_positive(h2=h2, w2=w2, c=c, n=n)
+    area = h2 * w2
+    if m2 is None:
+        return 2 * area * area * c * n * n
+    _check_positive(m2=m2)
+    return 2 * area * c * n * n * m2 * m2
+
+
 def flops_ad(h2: int, w2: int, c: int, k: int, n: int) -> int:
     """Multiply-accumulate count of one global attention decode."""
     _check_positive(h2=h2, w2=w2, c=c, k=k, n=n)
-    area = h2 * w2
-    return 2 * area * c * c * k * k * (n * n + 1) + 2 * area * area * c * n * n
+    return 2 * h2 * w2 * c * c * k * k * (n * n + 1) + attention_flops(h2, w2, c, n)
 
 
 def flops_wad(h2: int, w2: int, c: int, k: int, n: int, m2: int) -> int:
     """Multiply-accumulate count of one windowed attention decode."""
     _check_positive(h2=h2, w2=w2, c=c, k=k, n=n, m2=m2)
-    area = h2 * w2
-    return 2 * area * c * c * k * k * (n * n + 1) + 2 * area * c * n * n * m2 * m2
+    return 2 * h2 * w2 * c * c * k * k * (n * n + 1) + attention_flops(h2, w2, c, n, m2)
 
 
 def mem_ad(h2: int, w2: int, c: int, n: int) -> int:
@@ -283,9 +295,9 @@ def build_gradcheck_target(name: str, seed: int = 0):
         return (lambda: st.forward(source, lateral)), wrt
 
     if name == "toynet":
-        from .toyseg.model import build_toynet
-        net = build_toynet(depth=2, base_channels=4, upsampler="wau", classes=1,
-                           window=2, heads=2, seed=seed + 1, precision="double")
+        from .toyseg.model import ToyNet
+        net = ToyNet(depth=2, base_channels=4, upsampler="wau", classes=1,
+                     window=2, heads=2, seed=seed + 1, precision="double")
         x = tensor(rng.standard_normal((1, 1, 16, 16)), precision="double",
                    requires_grad=True)
         wrt = [("input", x)] + net.parameters()

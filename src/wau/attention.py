@@ -174,26 +174,26 @@ class AttentionDecoder:
         ctx, w = self._attend(qgrid.blocks, kgrid.blocks, vgrid.blocks)
         return ctx, qgrid, w
 
-    def wad_features(self, lateral: Tensor, source: Tensor,
-                     ) -> tuple[Tensor, AttentionRecord]:
-        """Windowed attention context merged to map form, before out_conv."""
+    def wad_features(self, lateral: Tensor, source: Tensor) -> Tensor:
+        """Windowed attention context merged to map form, before out_conv.
+
+        Inside `metering.recording()` it observes an AttentionRecord under
+        "attention".
+        """
         ctx, qgrid, w = self._context_windows(lateral, source)
         merged = merge(WindowGrid(ctx, qgrid.source_shape, qgrid.window))
-        rec = AttentionRecord(weights=w.copy(), coords=qgrid.coords(),
-                              layer_index=self.layer_index, ratio=self.cfg.ratio,
-                              window=self.cfg.window, heads=self.cfg.heads,
-                              query_shape=merged.shape)
-        return merged, rec
+        metering.observe("attention", lambda: AttentionRecord(
+            weights=w.copy(), coords=qgrid.coords(), layer_index=self.layer_index,
+            ratio=self.cfg.ratio, window=self.cfg.window, heads=self.cfg.heads,
+            query_shape=merged.shape))
+        return merged
 
-    def wad_forward(self, lateral: Tensor, source: Tensor,
-                    record_attention: bool = False):
+    def wad_forward(self, lateral: Tensor, source: Tensor) -> Tensor:
         """Windowed attention decode: (N, E, nH, nW) from source (N, C, H, W)."""
-        feats, rec = self.wad_features(lateral, source)
+        feats = self.wad_features(lateral, source)
         with metering.tagged("out_conv"):
             out = self.out_conv(feats)
         metering.release_buffers()
-        if record_attention:
-            return out, rec
         return out
 
     def ad_forward(self, lateral: Tensor, source: Tensor) -> Tensor:

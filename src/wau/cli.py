@@ -11,13 +11,16 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import (AnalysisError, build_gradcheck_target, flops_ad,
-                       flops_wad, gradcheck, measure, mem_ad, mem_wad)
+from .analysis import (AnalysisError, attention_flops, build_gradcheck_target,
+                       gradcheck, measure)
 from .config import ConfigError, RunConfig, parse_config
 from .tensor import ContractError, NumericsError, ShapeError
 from .toyseg.train import (TrainingAborted, TrainRun, build_model_from_config,
                            evaluate, load_parameters, train)
 from .viz import export_attention, export_features
+
+# Bad input: reported as "config error: ..." with exit code 2.
+CONFIG_ERRORS = (ConfigError, ContractError, ShapeError)
 
 FLOPS_HEADER = ("op,h2,w2,c,k,n,m2,flops_analytic,flops_measured,"
                 "mem_analytic,mem_measured,attn_flops,flops_ratio")
@@ -53,25 +56,22 @@ def cmd_gradcheck(args) -> int:
     return 1
 
 
-def _attn_flops(op: str, h2: int, w2: int, c: int, n: int, m2: int) -> int:
-    area = h2 * w2
-    if op == "ad":
-        return 2 * area * area * c * n * n
-    return 2 * area * c * n * n * m2 * m2
-
-
 def cmd_flops(args) -> int:
     cfg = _load_config(args)
     a = cfg.analysis
     points = a.sweep_points if args.sweep else 1
+    m2 = a.window if a.op == "wad" else None
+    # A window that divides h2 and w2 also divides every doubled sweep point.
+    if m2 is not None and (a.h2 % m2 or a.w2 % m2):
+        raise ConfigError(
+            f"[analysis] window {m2} does not divide h2 x w2 = {a.h2}x{a.w2}")
     print(FLOPS_HEADER)
     prev = None
     for i in range(points):
         h2, w2 = a.h2 << i, a.w2 << i
-        m2 = a.window if a.op == "wad" else None
         rep = measure(a.op, h2, w2, a.channels, a.kernel, a.ratio, m2=m2,
                       seed=cfg.train.seed)
-        attn = _attn_flops(a.op, h2, w2, a.channels, a.ratio, a.window)
+        attn = attention_flops(h2, w2, a.channels, a.ratio, m2)
         ratio = "" if prev is None else repr(rep.analytic_flops / prev)
         print(f"{rep.csv_row()},{attn},{ratio}")
         if rep.analytic_mem_elems > a.mem_budget_elems:
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ConfigError, ContractError, ShapeError) as exc:
+    except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (AnalysisError, NumericsError) as exc:

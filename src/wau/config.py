@@ -12,6 +12,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .stage import UPSAMPLERS
+
 
 class ConfigError(ValueError):
     """Malformed, unknown, or out-of-range configuration input."""
@@ -81,7 +83,7 @@ _SECTIONS = {"model": ModelConfig, "data": DataConfig,
              "train": TrainConfig, "analysis": AnalysisConfig}
 
 _CHOICES = {
-    ("model", "upsampler"): ("bilinear", "transposed", "wau", "wad_only"),
+    ("model", "upsampler"): UPSAMPLERS,
     ("model", "proj_conv"): ("regular", "grouped", "depthwise_separable"),
     ("train", "precision"): ("single", "double"),
     ("analysis", "op"): ("ad", "wad"),

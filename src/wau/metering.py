@@ -1,10 +1,16 @@
-"""Multiply-accumulate and buffer-size counters for complexity verification.
+"""Instrumentation of the forward pass: cost counters and a value recorder.
 
 A single CostMeter can be activated at a time (measurement sessions are
 single-threaded and sequential). While active, the conv and matmul kernels
 report their exact multiply-accumulate counts under the innermost tag, and
 the attention forward reports the element counts of its q/k/v and weight
 buffers so the peak simultaneous footprint can be read off afterwards.
+
+The recorder is separate, so counting never pays for copies. Inside
+`recording()`, each `observe(name, make)` call appends `make()` to the
+list under `name` (the attention stages observe "attention", the toy net
+"stage_output"); outside it, `observe` returns at once and `make` is never
+called.
 """
 from __future__ import annotations
 
@@ -12,6 +18,7 @@ from contextlib import contextmanager
 
 _CURRENT: "CostMeter | None" = None
 _TAG_STACK: list[str] = []
+_RECORDING: "dict[str, list] | None" = None
 
 
 class CostMeter:
@@ -70,3 +77,23 @@ def release_buffers() -> None:
         return
     _CURRENT._live.clear()
     _CURRENT.live_elems = 0
+
+
+@contextmanager
+def recording():
+    """Collect every `observe`d value of the block, by name."""
+    global _RECORDING
+    if _RECORDING is not None:
+        raise RuntimeError("a recording is already active")
+    _RECORDING = {}
+    try:
+        yield _RECORDING
+    finally:
+        _RECORDING = None
+
+
+def observe(name: str, make) -> None:
+    """Record `make()` under `name` if a recording is active."""
+    if _RECORDING is None:
+        return
+    _RECORDING.setdefault(name, []).append(make())

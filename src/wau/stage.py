@@ -1,4 +1,4 @@
-"""Upsampling stages and their composition into decoder chains.
+"""Upsampling stages: one per decoder level, chosen by name from UPSAMPLERS.
 
 The full attention upsampler adds a bilinear residual of the source map to
 the windowed attention decode, so the attention branch starts as a learned
@@ -7,62 +7,20 @@ differs from the stage's output width, a 1x1 convolution adapts the
 bilinear branch; that adapter is an extension of this implementation, not
 part of the operator as originally framed, and carries parameters the pure
 residual form would not have.
+
+Every stage maps (source, lateral) to the upsampled tensor; the decoder that
+chains them is ToyNet's. Attention weights are read through
+`metering.recording()`, not through the stage's return value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .attention import AttentionDecoder, AttentionRecord, WauConfig
+from .attention import AttentionDecoder, WauConfig
 from .conv import ConvSpec, TransposedConv, bilinear_upsample
-from .tensor import ContractError, ShapeError, Tensor, add
+from .tensor import ContractError, Tensor, add
 
-UPSAMPLER_KINDS = ("bilinear", "transposed", "wau", "wad_only")
-
-
-@dataclass(frozen=True)
-class UpsamplerKind:
-    """Selector for one decoder stage's upsampling strategy."""
-
-    kind: str
-    ratio: int = 2
-    cfg: WauConfig | None = None
-
-    def __post_init__(self):
-        if self.kind not in UPSAMPLER_KINDS:
-            raise ContractError(f"unknown upsampler kind {self.kind!r}")
-        if self.ratio < 1:
-            raise ContractError(f"ratio must be >= 1, got {self.ratio}")
-        if self.kind in ("wau", "wad_only"):
-            if self.cfg is None:
-                raise ContractError(f"{self.kind} requires a WauConfig")
-            self.cfg.validate()
-            if self.cfg.ratio != self.ratio:
-                raise ContractError(
-                    f"stage ratio {self.ratio} disagrees with cfg.ratio {self.cfg.ratio}")
-        elif self.cfg is not None:
-            raise ContractError(f"{self.kind} takes no WauConfig")
-
-    @classmethod
-    def bilinear(cls, ratio: int = 2) -> "UpsamplerKind":
-        return cls("bilinear", ratio)
-
-    @classmethod
-    def transposed(cls, ratio: int = 2) -> "UpsamplerKind":
-        return cls("transposed", ratio)
-
-    @classmethod
-    def wau(cls, cfg: WauConfig) -> "UpsamplerKind":
-        return cls("wau", cfg.ratio, cfg)
-
-    @classmethod
-    def wad_only(cls, cfg: WauConfig) -> "UpsamplerKind":
-        return cls("wad_only", cfg.ratio, cfg)
-
-    @property
-    def needs_lateral(self) -> bool:
-        return self.kind in ("wau", "wad_only")
+UPSAMPLERS = ("bilinear", "transposed", "wau", "wad_only")
 
 
 class BilinearStage:
@@ -75,10 +33,8 @@ class BilinearStage:
     def parameters(self) -> list[tuple[str, Tensor]]:
         return []
 
-    def forward(self, source: Tensor, lateral: Tensor | None = None,
-                record_attention: bool = False):
-        out = bilinear_upsample(source, self.ratio)
-        return (out, None) if record_attention else out
+    def forward(self, source: Tensor, lateral: Tensor | None = None) -> Tensor:
+        return bilinear_upsample(source, self.ratio)
 
 
 class TransposedStage:
@@ -93,10 +49,8 @@ class TransposedStage:
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [(f"up.{n}", t) for n, t in self.up.parameters()]
 
-    def forward(self, source: Tensor, lateral: Tensor | None = None,
-                record_attention: bool = False):
-        out = self.up(source)
-        return (out, None) if record_attention else out
+    def forward(self, source: Tensor, lateral: Tensor | None = None) -> Tensor:
+        return self.up(source)
 
 
 class WadStage:
@@ -113,11 +67,10 @@ class WadStage:
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [(f"attn.{n}", t) for n, t in self.decoder.parameters()]
 
-    def forward(self, source: Tensor, lateral: Tensor | None = None,
-                record_attention: bool = False):
+    def forward(self, source: Tensor, lateral: Tensor | None = None) -> Tensor:
         if lateral is None:
             raise ContractError("attention stages need a lateral map")
-        return self.decoder.wad_forward(lateral, source, record_attention=record_attention)
+        return self.decoder.wad_forward(lateral, source)
 
 
 class WauStage(WadStage):
@@ -148,105 +101,29 @@ class WauStage(WadStage):
             res = self.residual_proj(res)
         return res
 
-    def forward(self, source: Tensor, lateral: Tensor | None = None,
-                record_attention: bool = False):
+    def forward(self, source: Tensor, lateral: Tensor | None = None) -> Tensor:
         if lateral is None:
             raise ContractError("attention stages need a lateral map")
-        if record_attention:
-            attn, rec = self.decoder.wad_forward(lateral, source, record_attention=True)
-            return add(attn, self.residual(source)), rec
         attn = self.decoder.wad_forward(lateral, source)
         return add(attn, self.residual(source))
 
 
-def build_stage(kind: UpsamplerKind, source_channels: int,
-                lateral_channels: int | None, rng: np.random.Generator,
-                precision: str = "single", layer_index: int = 0):
-    """Construct the stage object for one decoder level."""
-    if kind.needs_lateral:
-        if lateral_channels is None:
-            raise ContractError(f"{kind.kind} stage requires a lateral map")
-        cfg = kind.cfg
-        if cfg.precision != precision:
-            cfg = WauConfig(**{**cfg.__dict__, "precision": precision})
-        cls = WauStage if kind.kind == "wau" else WadStage
+def build_stage(name: str, cfg: WauConfig, source_channels: int,
+                lateral_channels: int, rng: np.random.Generator,
+                layer_index: int = 0):
+    """Construct upsampler `name` for one decoder level.
+
+    `cfg` supplies the ratio and precision of every stage and the attention
+    knobs of the attention stages. The transposed stage outputs the lateral
+    width; bilinear keeps the source width.
+    """
+    cfg.validate()
+    if name in ("wau", "wad_only"):
+        cls = WauStage if name == "wau" else WadStage
         return cls(cfg, lateral_channels, source_channels, rng, layer_index=layer_index)
-    if kind.kind == "bilinear":
-        return BilinearStage(source_channels, kind.ratio)
-    return TransposedStage(source_channels,
-                           lateral_channels if lateral_channels else source_channels,
-                           kind.ratio, rng, precision=precision)
-
-
-class UpsampleStack:
-    """A validated chain of upsampling stages applied bottom-up."""
-
-    def __init__(self, specs: list[tuple[UpsamplerKind, tuple[int, int, int] | None]],
-                 input_shape: tuple[int, int, int], rng: np.random.Generator,
-                 precision: str = "single"):
-        if not specs:
-            raise ContractError("stack_stages needs at least one stage")
-        self.stages = []
-        self.lateral_shapes: list[tuple[int, int, int] | None] = []
-        c, h, w = input_shape
-        self.input_shape = tuple(input_shape)
-        for i, (kind, lat_shape) in enumerate(specs):
-            if kind.needs_lateral:
-                if lat_shape is None:
-                    raise ShapeError(f"stage {i + 1} ({kind.kind}) declares no lateral shape")
-                lc, lh, lw = lat_shape
-                if (lh, lw) != (h * kind.ratio, w * kind.ratio):
-                    raise ShapeError(
-                        f"stage {i + 1}: lateral {lh}x{lw} is not {kind.ratio}x "
-                        f"the incoming map {h}x{w}")
-                if h % kind.cfg.window or w % kind.cfg.window:
-                    raise ShapeError(
-                        f"stage {i + 1}: window {kind.cfg.window} does not divide "
-                        f"incoming map {h}x{w}")
-                stage = build_stage(kind, c, lc, rng, precision=precision, layer_index=i)
-            else:
-                lc = lat_shape[0] if lat_shape is not None else None
-                stage = build_stage(kind, c, lc, rng, precision=precision, layer_index=i)
-            self.stages.append(stage)
-            self.lateral_shapes.append(lat_shape)
-            c, h, w = stage.out_channels, h * kind.ratio, w * kind.ratio
-        self.output_shape = (c, h, w)
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, s in enumerate(self.stages):
-            out.extend((f"stage{i + 1}.{n}", t) for n, t in s.parameters())
-        return out
-
-    def forward(self, source: Tensor, laterals: list[Tensor | None],
-                record_attention: bool = False):
-        if len(laterals) != len(self.stages):
-            raise ShapeError(
-                f"expected {len(self.stages)} laterals, got {len(laterals)}")
-        if source.shape[1:] != self.input_shape:
-            raise ShapeError(
-                f"source shape {source.shape[1:]} does not match the stack's "
-                f"declared input {self.input_shape}")
-        x = source
-        records: list[AttentionRecord | None] = []
-        for i, stage in enumerate(self.stages):
-            lat = laterals[i]
-            declared = self.lateral_shapes[i]
-            if declared is not None and lat is not None and lat.shape[1:] != declared:
-                raise ShapeError(
-                    f"stage {i + 1}: lateral shape {lat.shape[1:]} does not match "
-                    f"declared {declared}")
-            if record_attention:
-                x, rec = stage.forward(x, lat, record_attention=True)
-                records.append(rec)
-            else:
-                x = stage.forward(x, lat)
-        return (x, records) if record_attention else x
-
-
-def stack_stages(specs, input_shape, rng=None, seed: int = 0,
-                 precision: str = "single") -> UpsampleStack:
-    """Build an UpsampleStack; shape chaining is validated up front."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    return UpsampleStack(list(specs), tuple(input_shape), rng, precision=precision)
+    if name == "bilinear":
+        return BilinearStage(source_channels, cfg.ratio)
+    if name == "transposed":
+        return TransposedStage(source_channels, lateral_channels, cfg.ratio, rng,
+                               precision=cfg.precision)
+    raise ContractError(f"unknown upsampler {name!r}; expected one of {UPSAMPLERS}")

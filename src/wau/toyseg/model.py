@@ -8,25 +8,13 @@ input resolution.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ..attention import AttentionRecord, WauConfig
+from .. import metering
+from ..attention import WauConfig
 from ..conv import ConvSpec, maxpool2
-from ..stage import UpsamplerKind, build_stage
+from ..stage import build_stage
 from ..tensor import ContractError, ShapeError, Tensor, relu
-
-UPSAMPLER_CHOICES = ("bilinear", "transposed", "wau", "wad_only")
-
-
-@dataclass
-class NetTrace:
-    """Forward-pass intermediates for visualization and inspection."""
-
-    laterals: list[np.ndarray] = field(default_factory=list)
-    stage_outputs: list[np.ndarray] = field(default_factory=list)
-    attention: list[AttentionRecord | None] = field(default_factory=list)
 
 
 class EncoderBlock:
@@ -49,8 +37,6 @@ class ToyNet:
                  in_channels: int = 1, seed: int = 0, precision: str = "single"):
         if depth < 1:
             raise ContractError(f"depth must be >= 1, got {depth}")
-        if upsampler not in UPSAMPLER_CHOICES:
-            raise ContractError(f"unknown upsampler {upsampler!r}")
         if classes < 1:
             raise ContractError(f"classes must be >= 1, got {classes}")
         self.depth = depth
@@ -67,27 +53,16 @@ class ToyNet:
             ch = wch
 
         # Decoder runs bottom-up: stage i consumes lateral depth-1-i.
+        cfg = WauConfig(ratio=2, window=window, heads=heads, proj_variant=proj_conv,
+                        proj_groups=proj_groups, proj_kernel=proj_kernel,
+                        out_kernel=out_kernel, precision=precision)
         self.decoder = []
         src_ch = widths[-1]
         for i in range(depth):
             lat_ch = widths[depth - 1 - i]
-            if upsampler in ("wau", "wad_only"):
-                if lat_ch % heads:
-                    raise ContractError(
-                        f"heads {heads} does not divide stage width {lat_ch}")
-                cfg = WauConfig(ratio=2, window=window, heads=heads,
-                                proj_variant=proj_conv, proj_groups=proj_groups,
-                                proj_kernel=proj_kernel, out_kernel=out_kernel,
-                                precision=precision)
-                kind = (UpsamplerKind.wau(cfg) if upsampler == "wau"
-                        else UpsamplerKind.wad_only(cfg))
-            elif upsampler == "transposed":
-                kind = UpsamplerKind.transposed(2)
-            else:
-                kind = UpsamplerKind.bilinear(2)
-            stage = build_stage(kind, src_ch,
-                                lat_ch if upsampler != "bilinear" else None,
-                                rng, precision=precision, layer_index=i)
+            if upsampler in ("wau", "wad_only") and lat_ch % heads:
+                raise ContractError(f"heads {heads} does not divide stage width {lat_ch}")
+            stage = build_stage(upsampler, cfg, src_ch, lat_ch, rng, layer_index=i)
             self.decoder.append(stage)
             src_ch = stage.out_channels
 
@@ -127,14 +102,19 @@ class ToyNet:
             div = max(div, cfg_window << self.depth)
         return div
 
-    def forward(self, x: Tensor, collect: bool = False):
+    def forward(self, x: Tensor) -> Tensor:
+        """Logits (N, classes+1, H, W).
+
+        Inside `metering.recording()` each decoder stage's output is observed
+        under "stage_output" as a copied array, and the attention stages add
+        their "attention" records.
+        """
         if x.ndim != 4:
             raise ShapeError(f"forward expects (N, C, H, W), got {x.shape}")
         h, w = x.shape[2], x.shape[3]
         div = 1 << self.depth
         if h % div or w % div:
             raise ShapeError(f"input {h}x{w} not divisible by 2^depth = {div}")
-        trace = NetTrace() if collect else None
         laterals: list[Tensor] = []
         feats = x
         for blk in self.encoder:
@@ -144,19 +124,6 @@ class ToyNet:
 
         z = feats
         for i, stage in enumerate(self.decoder):
-            lat = laterals[self.depth - 1 - i]
-            if collect:
-                out = stage.forward(z, lat, record_attention=True)
-                z, rec = out
-                trace.attention.append(rec)
-                trace.laterals.append(lat.data.copy())
-                trace.stage_outputs.append(z.data.copy())
-            else:
-                z = stage.forward(z, lat)
-        logits = self.head(z)
-        return (logits, trace) if collect else logits
-
-
-def build_toynet(depth: int, base_channels: int, upsampler: str, classes: int,
-                 **kwargs) -> ToyNet:
-    return ToyNet(depth, base_channels, upsampler, classes, **kwargs)
+            z = stage.forward(z, laterals[self.depth - 1 - i])
+            metering.observe("stage_output", z.data.copy)
+        return self.head(z)

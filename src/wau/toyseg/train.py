@@ -25,7 +25,7 @@ from ..tensorio import read_tensor, write_tensor
 from .data import augment, gen_dataset
 from .loss import seg_loss
 from .metrics import mean_dice, mean_hausdorff
-from .model import ToyNet, build_toynet
+from .model import ToyNet
 from .optim import Adam, lr_at
 
 METRICS_HEADER = "epoch,step,lr,loss,train_dsc,val_dsc,val_hd"
@@ -45,7 +45,7 @@ def _fmt(x: float) -> str:
 
 def build_model_from_config(cfg: RunConfig) -> ToyNet:
     m, t = cfg.model, cfg.train
-    return build_toynet(
+    return ToyNet(
         depth=m.depth, base_channels=m.base_channels, upsampler=m.upsampler,
         classes=cfg.data.classes, window=m.window, heads=m.heads,
         proj_conv=m.proj_conv, proj_groups=m.proj_groups,

@@ -21,11 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import metering
 from .config import RunConfig
 from .tensor import ContractError, tensor
 from .tensorio import write_pgm
 from .toyseg.data import make_sample
-from .toyseg.model import NetTrace, ToyNet
+from .toyseg.model import ToyNet
 
 
 @dataclass
@@ -47,9 +48,11 @@ def _val_sample(cfg: RunConfig, sample_index: int):
 
 
 def _trace(model: ToyNet, cfg: RunConfig, sample_index: int):
+    """Forward one validation sample; return it and the recorded values."""
     s = _val_sample(cfg, sample_index)
     x = tensor(s.image[None], precision=cfg.train.precision)
-    _, trace = model.forward(x, collect=True)
+    with metering.recording() as trace:
+        model.forward(x)
     return s, trace
 
 
@@ -98,7 +101,7 @@ def export_attention(model: ToyNet, cfg: RunConfig, sample_index: int,
     out.mkdir(parents=True, exist_ok=True)
     sample, trace = _trace(model, cfg, sample_index)
     result = VizResult([], [])
-    records = [rec for rec in trace.attention if rec is not None]
+    records = trace.get("attention", [])
     if not records:
         result.notices.append(
             "no attention-bearing decoder stages in this model")
@@ -123,7 +126,7 @@ def export_features(model: ToyNet, cfg: RunConfig, sample_index: int,
     out.mkdir(parents=True, exist_ok=True)
     _, trace = _trace(model, cfg, sample_index)
     result = VizResult([], [])
-    for i, stage_out in enumerate(trace.stage_outputs):
+    for i, stage_out in enumerate(trace["stage_output"]):
         path = out / f"stage{i + 1}_features.pgm"
         write_pgm(path, stage_out[0].mean(axis=0))
         result.files.append(path)

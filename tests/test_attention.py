@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from wau import metering
 from wau.attention import AttentionDecoder, WauConfig
 from wau.tensor import ContractError, Tape, sum_all, tensor
 
@@ -23,6 +24,14 @@ def make_decoder(lat_c=8, src_c=16, heads=1, window=2, ratio=2, seed=0,
                     precision=precision, **kw)
     rng = np.random.default_rng(seed)
     return cfg, AttentionDecoder(cfg, lat_c, src_c, rng)
+
+
+def recorded_wad_forward(dec, lat, z):
+    """wad_forward inside a recording; the output and its one record."""
+    with metering.recording() as trace:
+        out = dec.wad_forward(lat, z)
+    (rec,) = trace["attention"]
+    return out, rec
 
 
 def maps(lat_c=8, src_c=16, h=2, w=2, ratio=2, seed=1, precision="double"):
@@ -94,18 +103,18 @@ class TestWadForward:
         cfg, dec = make_decoder(lat_c=4, src_c=4, window=2)
         lat = maps(lat_c=4)[0]
         z = tensor(np.full((1, 4, 2, 2), 3.0), precision="double")
-        out, rec = dec.wad_forward(lat, z, record_attention=True)
+        out, rec = recorded_wad_forward(dec, lat, z)
         m2sq = cfg.window ** 2
         np.testing.assert_allclose(rec.weights, 1.0 / m2sq, atol=1e-12)
         # pre-output-conv window rows must all equal the value mean
-        merged, _ = dec.wad_features(lat, z)
+        merged = dec.wad_features(lat, z)
         rows = merged.numpy()[0].reshape(4, -1)
         np.testing.assert_allclose(rows - rows[:, :1], 0.0, atol=1e-12)
 
     def test_record_contents(self):
         _, dec = make_decoder(lat_c=4, src_c=4, heads=2, window=2)
         lat, z = maps(lat_c=4, src_c=4, h=4, w=4)
-        out, rec = dec.wad_forward(lat, z, record_attention=True)
+        out, rec = recorded_wad_forward(dec, lat, z)
         assert rec.weights.shape == (4, 2, 16, 4)
         assert rec.coords == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
         assert rec.query_shape == (1, 4, 8, 8)
@@ -114,7 +123,7 @@ class TestWadForward:
     def test_rows_stochastic(self):
         _, dec = make_decoder(heads=2, window=2)
         lat, z = maps(h=4, w=4)
-        _, rec = dec.wad_forward(lat, z, record_attention=True)
+        _, rec = recorded_wad_forward(dec, lat, z)
         np.testing.assert_allclose(rec.row_sums(), 1.0, atol=1e-12)
 
     def test_gradcheck_wad(self):

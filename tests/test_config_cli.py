@@ -173,6 +173,16 @@ class TestCliFlops:
         assert main(["flops"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_window_not_dividing_map_prints_nothing_and_exits_2(self, tmp_path,
+                                                                 capsys):
+        ini = tmp_path / "w3.ini"
+        ini.write_text("[analysis]\nwindow = 3\n")
+        for argv in (["flops"], ["flops", "--sweep"]):
+            assert main(argv + ["--config", str(ini)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("config error: [analysis] window 3")
+
 
 class TestCliTrainEval:
     def test_train_writes_metrics_and_checkpoint(self, trained, capsys):
@@ -286,8 +296,8 @@ class TestCliExportViz:
         model = build_model_from_config(cfg)
         load_parameters(model, trained["final"])
         _, trace = _trace(model, cfg, 0)
-        assert trace.attention, "trained WAU net must record attention"
-        for rec in trace.attention:
+        assert trace.get("attention"), "trained WAU net must record attention"
+        for rec in trace["attention"]:
             sums = rec.weights.sum(axis=-1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-5)
 

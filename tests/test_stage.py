@@ -1,13 +1,12 @@
-"""Upsampling stages: residual semantics, variant parity, stack composition."""
+"""Upsampling stages: residual semantics, variant parity, construction by name."""
 import numpy as np
 import pytest
 
 from wau.attention import WauConfig
 from wau.conv import bilinear_upsample
-from wau.stage import (BilinearStage, TransposedStage, UpsamplerKind,
-                       UpsampleStack, WadStage, WauStage, build_stage,
-                       stack_stages)
-from wau.tensor import ContractError, ShapeError, tensor
+from wau.stage import (UPSAMPLERS, BilinearStage, TransposedStage, WadStage,
+                       WauStage, build_stage)
+from wau.tensor import ContractError, tensor
 
 
 def dmaps(lat_c, src_c, h=2, w=2, ratio=2, seed=3, precision="double"):
@@ -81,82 +80,28 @@ class TestVariants:
             stage.forward(z, None)
 
     def test_kind_validation(self):
+        rng = np.random.default_rng(0)
         with pytest.raises(ContractError):
-            UpsamplerKind("nearest", 2)
+            build_stage("nearest", WauConfig(), 4, 4, rng)
         with pytest.raises(ContractError):
-            UpsamplerKind.wau(WauConfig(ratio=1))
+            build_stage("wau", WauConfig(ratio=1), 4, 4, rng)
         with pytest.raises(ContractError):
-            UpsamplerKind.bilinear(0)
-        assert UpsamplerKind.wau(WauConfig()).needs_lateral
-        assert not UpsamplerKind.bilinear(2).needs_lateral
-
-
-class TestStack:
-    def test_two_wau_stages_4_to_16(self):
-        cfg = WauConfig(ratio=2, window=2, heads=2, precision="double")
-        specs = [(UpsamplerKind.wau(cfg), (4, 8, 8)),
-                 (UpsamplerKind.wau(cfg), (4, 16, 16))]
-        stack = UpsampleStack(specs, (4, 4, 4), np.random.default_rng(0),
-                              precision="double")
-        rng = np.random.default_rng(1)
-        z = tensor(rng.normal(size=(1, 4, 4, 4)), precision="double")
-        lats = [tensor(rng.normal(size=(1, 4, 8, 8)), precision="double"),
-                tensor(rng.normal(size=(1, 4, 16, 16)), precision="double")]
-        out = stack.forward(z, lats)
-        assert out.shape == (1, 4, 16, 16)
+            build_stage("bilinear", WauConfig(ratio=0), 4, 4, rng)
+        cfg = WauConfig(ratio=2, window=2, heads=2)
+        stages = {name: build_stage(name, cfg, 8, 4, rng) for name in UPSAMPLERS}
+        assert isinstance(stages["wau"], WauStage)
+        assert type(stages["wad_only"]) is WadStage
+        assert isinstance(stages["bilinear"], BilinearStage)
+        assert isinstance(stages["transposed"], TransposedStage)
+        assert [stages[n].out_channels for n in UPSAMPLERS] == [8, 4, 4, 4]
 
     def test_single_ratio_4_stage(self):
         cfg = WauConfig(ratio=4, window=2, heads=2, precision="double")
-        specs = [(UpsamplerKind.wau(cfg), (4, 16, 16))]
-        stack = UpsampleStack(specs, (8, 4, 4), np.random.default_rng(0),
-                              precision="double")
+        stage = WauStage(cfg, 4, 8, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         z = tensor(rng.normal(size=(1, 8, 4, 4)), precision="double")
         lat = tensor(rng.normal(size=(1, 4, 16, 16)), precision="double")
-        out = stack.forward(z, [lat])
+        out = stage.forward(z, lat)
         assert out.shape == (1, 4, 16, 16)
         # query windows are ratio * kv window per side
-        assert stack.stages[0].decoder.cfg.query_window == 8
-
-    def test_chain_validation_names_offending_stage(self):
-        cfg = WauConfig(ratio=2, window=2, heads=2, precision="double")
-        specs = [(UpsamplerKind.wau(cfg), (4, 6, 6))]  # 6 != 2*4
-        with pytest.raises(ShapeError, match="stage 1"):
-            UpsampleStack(specs, (4, 4, 4), np.random.default_rng(0),
-                          precision="double")
-
-    def test_window_divisibility_checked_at_construction(self):
-        cfg = WauConfig(ratio=2, window=3, heads=1, precision="double")
-        specs = [(UpsamplerKind.wau(cfg), (4, 8, 8))]
-        with pytest.raises(ShapeError, match="stage 1"):
-            UpsampleStack(specs, (4, 4, 4), np.random.default_rng(0),
-                          precision="double")
-
-    def test_forward_checks_declared_shapes(self):
-        stack = stack_stages([(UpsamplerKind.bilinear(2), None)], (4, 4, 4),
-                             seed=0)
-        bad = tensor(np.zeros((1, 4, 8, 8), dtype=np.float32))
-        with pytest.raises(ShapeError):
-            stack.forward(bad, [None])
-
-    def test_parameters_prefixed_by_stage(self):
-        cfg = WauConfig(ratio=2, window=2, heads=2, precision="double")
-        specs = [(UpsamplerKind.wau(cfg), (4, 8, 8)),
-                 (UpsamplerKind.transposed(2), None)]
-        stack = UpsampleStack(specs, (4, 4, 4), np.random.default_rng(0),
-                              precision="double")
-        names = [n for n, _ in stack.parameters()]
-        assert any(n.startswith("stage1.") for n in names)
-        assert any(n.startswith("stage2.") for n in names)
-
-    def test_mixed_chain_forward(self):
-        cfg = WauConfig(ratio=2, window=2, heads=2, precision="double")
-        specs = [(UpsamplerKind.wad_only(cfg), (4, 8, 8)),
-                 (UpsamplerKind.bilinear(2), None)]
-        stack = UpsampleStack(specs, (4, 4, 4), np.random.default_rng(0),
-                              precision="double")
-        rng = np.random.default_rng(1)
-        z = tensor(rng.normal(size=(1, 4, 4, 4)), precision="double")
-        lat = tensor(rng.normal(size=(1, 4, 8, 8)), precision="double")
-        out = stack.forward(z, [lat, None])
-        assert out.shape == (1, 4, 16, 16)
+        assert stage.decoder.cfg.query_window == 8

@@ -7,13 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import wau.attention
+from wau import metering
 from wau.analysis import gradcheck
 from wau.tensor import ContractError, ShapeError, tensor
 from wau.toyseg.data import augment, gen_dataset, make_sample
 from wau.toyseg.loss import seg_loss
 from wau.toyseg.metrics import (dice_score, hausdorff, mean_dice,
                                 mean_hausdorff)
-from wau.toyseg.model import build_toynet
+from wau.toyseg.model import ToyNet
 from wau.toyseg.optim import Adam, lr_at
 
 masks8 = hnp.arrays(np.int64, (8, 8), elements=st.integers(0, 1))
@@ -84,50 +86,92 @@ class TestModel:
     @pytest.mark.parametrize("upsampler", ["bilinear", "transposed", "wad_only",
                                            "wau"])
     def test_forward_shape_all_variants(self, upsampler):
-        net = build_toynet(2, 4, upsampler, 1, window=2, heads=2, seed=0)
+        net = ToyNet(2, 4, upsampler, 1, window=2, heads=2, seed=0)
         x = tensor(np.random.default_rng(0).normal(size=(2, 1, 16, 16))
                    .astype(np.float32))
         assert net.forward(x).shape == (2, 2, 16, 16)
 
     def test_depth2_trace_shapes(self):
-        net = build_toynet(2, 4, "wau", 1, window=2, heads=2, seed=0)
+        net = ToyNet(2, 4, "wau", 1, window=2, heads=2, seed=0)
         x = tensor(np.zeros((1, 1, 32, 32), dtype=np.float32))
-        logits, trace = net.forward(x, collect=True)
+        with metering.recording() as trace:
+            logits = net.forward(x)
         assert logits.shape == (1, 2, 32, 32)
-        assert [l.shape[2:] for l in trace.laterals] == [(16, 16), (32, 32)]
-        assert [o.shape[2:] for o in trace.stage_outputs] == [(16, 16), (32, 32)]
-        assert len(trace.attention) == 2
-        assert [r.layer_index for r in trace.attention] == [0, 1]
+        assert [o.shape[2:] for o in trace["stage_output"]] == [(16, 16), (32, 32)]
+        assert len(trace["attention"]) == 2
+        assert [r.layer_index for r in trace["attention"]] == [0, 1]
 
     def test_k3_multiclass_logit_channels(self):
-        net = build_toynet(1, 4, "bilinear", 3, seed=0)
+        net = ToyNet(1, 4, "bilinear", 3, seed=0)
         x = tensor(np.zeros((1, 1, 8, 8), dtype=np.float32))
         assert net.forward(x).shape == (1, 4, 8, 8)
 
     def test_min_divisor(self):
-        assert build_toynet(2, 4, "bilinear", 1).min_divisor() == 4
-        assert build_toynet(2, 4, "wau", 1, window=2, heads=2).min_divisor() == 8
+        assert ToyNet(2, 4, "bilinear", 1).min_divisor() == 4
+        assert ToyNet(2, 4, "wau", 1, window=2, heads=2).min_divisor() == 8
 
     def test_indivisible_input_rejected(self):
-        net = build_toynet(2, 4, "wau", 1, window=2, heads=2)
+        net = ToyNet(2, 4, "wau", 1, window=2, heads=2)
         with pytest.raises(ShapeError):
             net.forward(tensor(np.zeros((1, 1, 12, 12), dtype=np.float32)))
 
     def test_parameter_groups_cover_everything(self):
-        net = build_toynet(2, 4, "wau", 1, window=2, heads=2)
+        net = ToyNet(2, 4, "wau", 1, window=2, heads=2)
         groups = net.parameter_groups()
         assert set(groups) == {"encoder", "decoder", "head"}
         assert sum(len(v) for v in groups.values()) == len(net.parameters())
 
     def test_same_seed_same_init(self):
-        a = build_toynet(1, 4, "wau", 1, window=2, heads=2, seed=5)
-        b = build_toynet(1, 4, "wau", 1, window=2, heads=2, seed=5)
+        a = ToyNet(1, 4, "wau", 1, window=2, heads=2, seed=5)
+        b = ToyNet(1, 4, "wau", 1, window=2, heads=2, seed=5)
         for (_, ta), (_, tb) in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(ta.numpy(), tb.numpy())
 
     def test_bilinear_variant_has_no_decoder_params(self):
-        net = build_toynet(2, 4, "bilinear", 1)
+        net = ToyNet(2, 4, "bilinear", 1)
         assert net.parameter_groups()["decoder"] == []
+
+
+class TestRecorder:
+    @pytest.mark.parametrize("upsampler", ["bilinear", "transposed", "wad_only",
+                                           "wau"])
+    def test_logits_bitwise_equal_inside_and_outside_recording(self, upsampler):
+        net = ToyNet(2, 4, upsampler, 1, window=2, heads=2, seed=0)
+        x = tensor(np.random.default_rng(0).normal(size=(2, 1, 16, 16))
+                   .astype(np.float32))
+        plain = net.forward(x).numpy()
+        with metering.recording() as trace:
+            recorded = net.forward(x).numpy()
+        np.testing.assert_array_equal(plain, recorded)
+        assert len(trace["stage_output"]) == 2
+
+    def test_no_attention_record_built_outside_recording(self, monkeypatch):
+        built = []
+
+        class CountingRecord(wau.attention.AttentionRecord):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(wau.attention, "AttentionRecord", CountingRecord)
+        net = ToyNet(2, 4, "wau", 1, window=2, heads=2, seed=0)
+        x = tensor(np.zeros((1, 1, 16, 16), dtype=np.float32))
+        net.forward(x)
+        assert built == []
+        with metering.recording() as trace:
+            net.forward(x)
+        assert len(built) == 2
+        assert all(isinstance(r, CountingRecord) for r in trace["attention"])
+
+    def test_nested_recording_raises(self):
+        with metering.recording() as outer:
+            with pytest.raises(RuntimeError):
+                with metering.recording():
+                    pass
+            metering.observe("x", lambda: 1)
+        assert outer == {"x": [1]}
+        metering.observe("x", lambda: 2)
+        assert outer == {"x": [1]}
 
 
 class TestMetrics:
