@@ -16,9 +16,8 @@ import numpy as np
 
 from . import metering
 from .conv import ConvSpec
-from .tensor import (ContractError, ShapeError, Tensor, layer_norm, matmul,
-                     permute, reshape, scale, softmax_rows, transpose_last2,
-                     zeros, tensor)
+from .tensor import (ContractError, ShapeError, Tensor, layer_norm, permute, reshape,
+                     tensor, window_attention, zeros)
 from .windows import WindowGrid, merge, paired_partition, partition
 
 
@@ -92,7 +91,6 @@ class AttentionDecoder:
             raise ContractError(f"embed_dim {embed} not divisible by heads {cfg.heads}")
         self.cfg = cfg
         self.embed_dim = embed
-        self.head_dim = embed // cfg.heads
         self.lateral_channels = lateral_channels
         self.source_channels = source_channels
         self.layer_index = layer_index
@@ -148,30 +146,12 @@ class AttentionDecoder:
         metering.track_buffer("v", v.size)
         return q, k, v
 
-    # -- attention core ------------------------------------------------------
-
-    def _attend(self, q_tok: Tensor, k_tok: Tensor, v_tok: Tensor) -> tuple[Tensor, np.ndarray]:
-        """Scaled dot-product attention over (B, T, E) token blocks."""
-        B, Tq, E = q_tok.shape
-        h, d = self.cfg.heads, self.head_dim
-        qh = permute(reshape(q_tok, (B, Tq, h, d)), (0, 2, 1, 3))
-        kh = permute(reshape(k_tok, (B, k_tok.shape[1], h, d)), (0, 2, 1, 3))
-        vh = permute(reshape(v_tok, (B, v_tok.shape[1], h, d)), (0, 2, 1, 3))
-        with metering.tagged("attn_scores"):
-            scores = scale(matmul(qh, transpose_last2(kh)), 1.0 / np.sqrt(d))
-        weights = softmax_rows(scores)
-        metering.track_buffer("weights", weights.size)
-        with metering.tagged("attn_apply"):
-            ctx = matmul(weights, vh)
-        merged = reshape(permute(ctx, (0, 2, 1, 3)), (B, Tq, E))
-        return merged, weights.data
-
     def _context_windows(self, lateral: Tensor, source: Tensor
                          ) -> tuple[Tensor, WindowGrid, np.ndarray]:
         q, k, v = self.project_qkv(lateral, source)
         qgrid, kgrid = paired_partition(q, k, self.cfg.window, self.cfg.ratio)
         vgrid = partition(v, self.cfg.window)
-        ctx, w = self._attend(qgrid.blocks, kgrid.blocks, vgrid.blocks)
+        ctx, w = window_attention(qgrid.blocks, kgrid.blocks, vgrid.blocks, self.cfg.heads)
         return ctx, qgrid, w
 
     def wad_features(self, lateral: Tensor, source: Tensor) -> Tensor:
@@ -207,7 +187,7 @@ class AttentionDecoder:
         q_tok = reshape(permute(q, (0, 2, 3, 1)), (N, Hq * Wq, E))
         k_tok = reshape(permute(k, (0, 2, 3, 1)), (N, k.shape[2] * k.shape[3], E))
         v_tok = reshape(permute(v, (0, 2, 3, 1)), (N, v.shape[2] * v.shape[3], E))
-        ctx, _ = self._attend(q_tok, k_tok, v_tok)
+        ctx, _ = window_attention(q_tok, k_tok, v_tok, self.cfg.heads)
         feats = permute(reshape(ctx, (N, Hq, Wq, E)), (0, 3, 1, 2))
         with metering.tagged("out_conv"):
             out = self.out_conv(feats)

@@ -1,10 +1,12 @@
 """Instrumentation of the forward pass: cost counters and a value recorder.
 
 A single CostMeter can be activated at a time (measurement sessions are
-single-threaded and sequential). While active, the conv and matmul kernels
-report their exact multiply-accumulate counts under the innermost tag, and
-the attention forward reports the element counts of its q/k/v and weight
-buffers so the peak simultaneous footprint can be read off afterwards.
+single-threaded and sequential). While active, the conv kernels report
+their exact multiply-accumulate counts under the innermost tag, and the
+`window_attention` op reports its two products under "attn_scores" and
+"attn_apply". The attention forward also reports the element counts of its
+q/k/v and weight buffers so the peak simultaneous footprint can be read off
+afterwards.
 
 The recorder is separate, so counting never pays for copies. Inside
 `recording()`, each `observe(name, make)` call appends `make()` to the

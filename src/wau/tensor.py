@@ -393,11 +393,19 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     return out
 
 
-def transpose_last2(a: Tensor) -> Tensor:
-    if a.ndim < 2:
-        raise ShapeError(f"transpose_last2 needs rank >= 2, got {a.shape}")
-    axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
-    return permute(a, axes)
+def channel_slice(a: Tensor, c: int) -> Tensor:
+    """Channel c of an (N, C, H, W) map, as (N, 1, H, W)."""
+    if a.ndim != 4 or not 0 <= c < a.shape[1]:
+        raise ShapeError(f"channel_slice: no channel {c} in {a.shape}")
+    out = Tensor(np.ascontiguousarray(a.data[:, c:c + 1]))
+
+    def fn(g, acc):
+        full = np.zeros_like(a.data)
+        full[:, c:c + 1] = g
+        acc.add(a, full)
+
+    record("channel_slice", (a,), out, fn)
+    return out
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -416,58 +424,102 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra
+# Attention
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes.
+# Weights per group of blocks in window_attention: half of a 2 MiB L2 cache.
+_ATTENTION_GROUP_BYTES = 1 << 20
 
-    Both operands viewed as (rows x inner) @ (inner x cols). Rank-2 operands
-    multiply directly; higher ranks are stacks of matrices and must share
-    leading dimensions exactly (a rank-2 right operand broadcasts across the
-    stack). Stacked products are computed slice by slice, so results do not
-    depend on how many slices are batched together.
+
+def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention of each query block on its kv block.
+
+    q is (B, Tq, E) and k, v are (B, Tk, E): block b of q attends only to
+    block b of k and v (one window pair, or one whole map for global
+    attention), each of `heads` heads over its own d = E/heads channel
+    slice. Returns the (B, Tq, E) context, heads concatenated in channel
+    order, and a read-only (B, heads, Tq, Tk) view of the softmax weights.
+
+    One tape node. The 1/sqrt(d) scale s is folded into q. Scores are laid
+    out kv-major, (B, heads, Tk, Tq), so the softmax reduces over axis -2
+    across whole rows of Tq, and runs in place on that one buffer; the
+    backward keeps only those weights P. With O the output and G its
+    gradient, in (Tq, Tk) layout per block and head:
+
+        dV = Pᵀ·G,  dS = P∘(dP − rowsum(G∘O)) with dP = G·Vᵀ,
+        dQ = s·dS·K,  dK = dSᵀ·(s·Q)
+
+    rowsum(G∘O) equals the softmax backward's rowsum(dP∘P) and costs a pass
+    over the output instead of one over the weights.
+
+    Forward and backward walk the blocks in groups of about
+    _ATTENTION_GROUP_BYTES of weights, so each group's softmax and products
+    run while its scores are in cache. A group holds whole blocks and every
+    step is per block, so the results do not depend on the grouping.
+
+    The two products report their multiply-adds under the "attn_scores" and
+    "attn_apply" tags, and the weights under the "weights" buffer.
     """
-    _match_precision(a, b, "matmul")
-    A, B = a.data, b.data
-    if A.ndim < 2 or B.ndim < 2:
-        raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
-    if A.shape[-1] != B.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} @ {b.shape}")
-    if B.ndim > 2 and A.shape[:-2] != B.shape[:-2]:
-        raise ShapeError(f"matmul: stacked shapes disagree, {a.shape} @ {b.shape}")
+    _match_precision(q, k, "window_attention")
+    _match_precision(q, v, "window_attention")
+    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape:
+        raise ShapeError(f"window_attention expects (B, Tq, E) q and equal (B, Tk, E) k, v; "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    B, Tq, E = q.shape
+    Tk = k.shape[1]
+    if k.shape[0] != B or k.shape[2] != E:
+        raise ShapeError(f"window_attention: q {q.shape} and k {k.shape} disagree")
+    if heads < 1 or E % heads:
+        raise ContractError(f"window_attention: {heads} heads do not divide width {E}")
+    h, d = heads, E // heads
+    s = 1.0 / float(np.sqrt(d))  # python float: float32 stays float32
 
-    if A.ndim == 2 and B.ndim == 2:
-        out_data = A @ B
-    elif B.ndim == 2:
-        lead = A.shape[:-2]
-        A3 = A.reshape((-1,) + A.shape[-2:])
-        out_data = np.empty((A3.shape[0], A.shape[-2], B.shape[-1]), dtype=A.dtype)
-        for i in range(A3.shape[0]):
-            out_data[i] = A3[i] @ B
-        out_data = out_data.reshape(lead + (A.shape[-2], B.shape[-1]))
-    else:
-        out_data = np.matmul(A, B)
-    _check_finite(out_data, "matmul")
+    def split(x: np.ndarray) -> np.ndarray:
+        """(B, T, E) -> (B, h, T, d) view."""
+        return x.reshape(x.shape[0], x.shape[1], h, d).transpose(0, 2, 1, 3)
+
+    per_group = max(1, _ATTENTION_GROUP_BYTES // (h * Tk * Tq * q.data.itemsize))
+    groups = [slice(b, b + per_group) for b in range(0, B, per_group)]
+    weights = np.empty((B, h, Tk, Tq), dtype=q.data.dtype)
+    out_data = np.empty_like(q.data)
+    qs, kh, vh, oh = split(q.data * s), split(k.data), split(v.data), split(out_data)
+    for b in groups:
+        w = weights[b]
+        np.matmul(kh[b], qs[b].swapaxes(-1, -2), out=w)
+        w -= w.max(axis=-2, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-2, keepdims=True)
+        np.matmul(w.swapaxes(-1, -2), vh[b], out=oh[b])
+    weights.flags.writeable = False
+    macs = B * Tq * Tk * E
+    with metering.tagged("attn_scores"):
+        metering.add_macs(macs)
+    metering.track_buffer("weights", weights.size)
+    with metering.tagged("attn_apply"):
+        metering.add_macs(macs)
+    _check_finite(out_data, "window_attention")
     out = Tensor(out_data)
 
-    rows = int(np.prod(A.shape[:-1], dtype=np.int64))
-    metering.add_macs(rows * A.shape[-1] * B.shape[-1])
-
     def fn(g, acc):
-        if A.ndim == 2 and B.ndim == 2:
-            acc.add(a, g @ B.T)
-            acc.add(b, A.T @ g)
-        elif B.ndim == 2:
-            acc.add(a, np.matmul(g, B.T))
-            gb = np.matmul(np.swapaxes(A, -1, -2), g)
-            acc.add(b, gb.reshape((-1,) + B.shape).sum(axis=0))
-        else:
-            acc.add(a, np.matmul(g, np.swapaxes(B, -1, -2)))
-            acc.add(b, np.matmul(np.swapaxes(A, -1, -2), g))
+        dq, dk, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        gh, dqh, dkh, dvh = split(g), split(dq), split(dk), split(dv)
+        # Rebuilt here, not kept from the forward: only the weights outlive it.
+        q_s, k_s, v_h = split(q.data * s), split(k.data * s), split(v.data)
+        rowdot = split(g * out_data).sum(axis=-1)[:, :, None, :]
+        for b in groups:
+            p = weights[b]
+            np.matmul(p, gh[b], out=dvh[b])
+            ds = np.matmul(v_h[b], gh[b].swapaxes(-1, -2))
+            ds -= rowdot[b]
+            ds *= p
+            np.matmul(ds.swapaxes(-1, -2), k_s[b], out=dqh[b])
+            np.matmul(ds, q_s[b], out=dkh[b])
+        acc.add(q, dq)
+        acc.add(k, dk)
+        acc.add(v, dv)
 
-    record("matmul", (a, b), out, fn)
-    return out
+    record("window_attention", (q, k, v), out, fn)
+    return out, weights.swapaxes(-1, -2)
 
 
 def softmax_rows(a: Tensor) -> Tensor:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import (ContractError, ShapeError, Tensor, add, add_scalar, div, log_softmax_rows,
-                      mul, permute, scale, softmax_rows, sum_all, tensor)
+from ..tensor import (ContractError, ShapeError, Tensor, add, add_scalar, channel_slice, div,
+                      log_softmax_rows, mul, permute, scale, softmax_rows, sum_all, tensor)
 
 SMOOTH = 1e-6
 
@@ -35,8 +35,8 @@ def seg_loss(logits: Tensor, masks: np.ndarray, classes: int) -> Tensor:
     if masks.min() < 0 or masks.max() > classes:
         raise ContractError(f"mask labels outside 0..{classes}")
 
-    onehot = tensor(_one_hot(masks, classes, logits.data.dtype),
-                    precision=logits.precision)
+    onehot_data = _one_hot(masks, classes, logits.data.dtype)
+    onehot = tensor(onehot_data, precision=logits.precision)
 
     # channel-last view so the row axis is the class axis
     ch_last = permute(logits, (0, 2, 3, 1))
@@ -46,11 +46,8 @@ def seg_loss(logits: Tensor, masks: np.ndarray, classes: int) -> Tensor:
     probs = permute(softmax_rows(ch_last), (0, 3, 1, 2))
     dice_terms = None
     for c in range(1, classes + 1):
-        sel = np.zeros((n, classes + 1, h, w), dtype=logits.data.dtype)
-        sel[:, c] = 1.0
-        sel_t = tensor(sel, precision=logits.precision)
-        p_c = mul(probs, sel_t)
-        g_c = mul(onehot, sel_t)
+        p_c = channel_slice(probs, c)
+        g_c = tensor(onehot_data[:, c:c + 1], precision=logits.precision)
         inter = sum_all(mul(p_c, g_c))
         denom = add(sum_all(p_c), sum_all(g_c))
         dice_c = div(add_scalar(scale(inter, 2.0), SMOOTH), add_scalar(denom, SMOOTH))

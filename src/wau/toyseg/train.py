@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ..config import ConfigError, RunConfig, parse_config_text, serialize_config
-from ..tensor import NumericsError, Tape, Tensor, tensor
+from ..tensor import NumericsError, ShapeError, Tape, Tensor, tensor
 from ..tensorio import read_tensor, write_tensor
 from .data import augment, gen_dataset
 from .loss import seg_loss
@@ -265,15 +265,14 @@ def train(cfg: RunConfig, out_dir, resume=None) -> TrainRun:
 
 
 def _read_exact(path: Path, like: np.ndarray, what: str) -> np.ndarray:
-    """Read a tensor dump whose stored dims must be `like`'s shape padded to rank 4."""
+    """Read a tensor dump whose stored dims must be `like`'s shape."""
     if not path.is_file():
         raise ConfigError(f"checkpoint is missing {what}")
-    arr = read_tensor(path)
-    want = (1,) * (4 - like.ndim) + like.shape
-    if arr.shape != want:
-        raise ConfigError(
-            f"checkpoint {what} is stored as {arr.shape}, model wants {like.shape}")
-    return arr.reshape(like.shape).astype(like.dtype, copy=False)
+    try:
+        arr = read_tensor(path, like.shape)
+    except ShapeError as e:
+        raise ConfigError(f"checkpoint {what}: {e}") from None
+    return arr.astype(like.dtype, copy=False)
 
 
 def load_parameters(model: ToyNet, ckpt_dir) -> None:

@@ -4,7 +4,7 @@ import pytest
 
 from wau import metering
 from wau.attention import AttentionDecoder, WauConfig
-from wau.tensor import ContractError, Tape, sum_all, tensor
+from wau.tensor import ContractError, NumericsError, Tape, sum_all, tensor
 
 
 def dirac(spec):
@@ -125,6 +125,16 @@ class TestWadForward:
         lat, z = maps(h=4, w=4)
         _, rec = recorded_wad_forward(dec, lat, z)
         np.testing.assert_allclose(rec.row_sums(), 1.0, atol=1e-12)
+
+    def test_overflowing_scores_name_the_attention_op(self):
+        _, dec = make_decoder(lat_c=4, src_c=4, precision="single")
+        for spec in (dec.q_proj, dec.k_proj):
+            spec.weight.data *= np.float32(1e20)   # q, k ~ 1e20: scores overflow float32
+        lat, z = maps(lat_c=4, src_c=4, precision="single")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(dec.project_qkv(lat, z)[0].numpy()).all()
+            with pytest.raises(NumericsError, match="window_attention"):
+                dec.wad_forward(lat, z)
 
     def test_gradcheck_wad(self):
         from wau.analysis import gradcheck

@@ -32,11 +32,35 @@ class TestTensorDump:
         write_tensor(path, arr)
         raw = path.read_bytes()
         assert raw[:4] == b"WAUT"
-        version, dtype_code = struct.unpack("<BB", raw[4:6])
-        assert version == 1 and dtype_code == 0
-        dims = struct.unpack("<4I", raw[6:22])
-        assert dims == (1, 1, 2, 3)
-        assert len(raw) == 22 + 6 * 4
+        version, dtype_code, rank = struct.unpack("<BBB", raw[4:7])
+        assert version == 2 and dtype_code == 0 and rank == 2
+        dims = struct.unpack("<2I", raw[7:15])
+        assert dims == (2, 3)
+        assert len(raw) == 15 + 6 * 4
+
+    @pytest.mark.parametrize("shape", [(8,), (1, 8), (1, 1, 8), (1, 1, 1, 8)])
+    def test_true_rank_round_trips(self, tmp_path, shape):
+        path = tmp_path / "t.waut"
+        write_tensor(path, np.ones(shape, dtype=np.float32))
+        assert read_tensor(path).shape == shape
+
+    def test_reads_version_1_padded_to_rank_4(self, tmp_path):
+        path = tmp_path / "t.waut"
+        arr = np.arange(6, dtype="<f4")
+        path.write_bytes(b"WAUT" + struct.pack("<BB4I", 1, 0, 1, 1, 2, 3) + arr.tobytes())
+        back = read_tensor(path)
+        assert back.shape == (1, 1, 2, 3)
+        np.testing.assert_array_equal(back.ravel(), arr)
+        assert read_tensor(path, (2, 3)).shape == (2, 3)
+        with pytest.raises(ShapeError):
+            read_tensor(path, (3, 2))
+
+    def test_expected_shape_must_match_exactly(self, tmp_path):
+        path = tmp_path / "t.waut"
+        write_tensor(path, np.ones(8, dtype=np.float32))
+        assert read_tensor(path, (8,)).shape == (8,)
+        with pytest.raises(ShapeError, match="stored as"):
+            read_tensor(path, (1, 8))
 
     def test_double_dtype_code(self, tmp_path):
         path = tmp_path / "t.waut"
@@ -57,6 +81,15 @@ class TestTensorDump:
         write_tensor(path, np.ones(2, dtype=np.float32))
         raw = bytearray(path.read_bytes())
         raw[4] = 9
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ContractError):
+            read_tensor(path)
+
+    def test_bad_rank_rejected(self, tmp_path):
+        path = tmp_path / "t.waut"
+        write_tensor(path, np.ones(2, dtype=np.float32))
+        raw = bytearray(path.read_bytes())
+        raw[6] = 5
         path.write_bytes(bytes(raw))
         with pytest.raises(ContractError):
             read_tensor(path)

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import wau
+from wau.analysis import gradcheck
 from wau.tensor import (ContractError, NumericsError, ShapeError, Tape,
-                        Tensor, add, add_scalar, div, layer_norm,
-                        log_softmax_rows, matmul, mean_all, mul, permute,
+                        Tensor, add, add_scalar, channel_slice, div, layer_norm,
+                        log_softmax_rows, mean_all, mul, permute,
                         record, relu, reshape, scale, softmax_rows, sub,
-                        sum_all, tensor, transpose_last2, uniform_param, zeros)
+                        sum_all, tensor, uniform_param, window_attention, zeros)
 
 fin32 = st.floats(-50, 50, width=32)
 
@@ -56,33 +57,6 @@ def test_package_exposes_the_tensor_module():
 
 
 class TestOpValues:
-    def test_matmul_hand_case(self):
-        a = tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = tensor([[5.0], [6.0]])
-        assert matmul(a, b).numpy().ravel().tolist() == [17.0, 39.0]
-
-    def test_matmul_identity(self, rng):
-        m = tensor(rng.normal(size=(3, 3)).astype(np.float32))
-        eye = tensor(np.eye(3, dtype=np.float32))
-        np.testing.assert_array_equal(matmul(eye, m).numpy(), m.numpy())
-
-    @given(a=arrays((3, 4)), b=arrays((4, 2)))
-    def test_matmul_matches_numpy(self, a, b):
-        got = matmul(tensor(a), tensor(b)).numpy()
-        np.testing.assert_allclose(got, a @ b, rtol=1e-5, atol=1e-5)
-
-    def test_matmul_batched_matches_per_slice(self, rng):
-        a = rng.normal(size=(2, 3, 4, 5)).astype(np.float32)
-        b = rng.normal(size=(2, 3, 5, 6)).astype(np.float32)
-        got = matmul(tensor(a), tensor(b)).numpy()
-        for i in range(2):
-            for j in range(3):
-                np.testing.assert_array_equal(got[i, j], a[i, j] @ b[i, j])
-
-    def test_matmul_mixed_precision_rejected(self):
-        with pytest.raises(ContractError):
-            matmul(tensor([[1.0]]), tensor([[1.0]], precision="double"))
-
     def test_softmax_symmetry(self):
         got = softmax_rows(tensor([[0.0, 0.0, 0.0, 0.0]])).numpy()
         np.testing.assert_allclose(got, [[0.25] * 4], atol=1e-7)
@@ -246,9 +220,21 @@ class TestTapeBackward:
         with Tape() as tape:
             y = permute(x, (2, 0, 1))
             z = reshape(y, (4, 6))
-            w = transpose_last2(z)
+            w = permute(z, (1, 0))
             tape.backward(sum_all(w))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3, 4)))
+
+    def test_channel_slice_gradient_fills_its_channel_only(self, rng):
+        x = tensor(rng.normal(size=(2, 3, 2, 2)), precision="double", requires_grad=True)
+        with Tape() as tape:
+            y = channel_slice(x, 1)
+            tape.backward(sum_all(mul(y, y)))
+        assert y.shape == (2, 1, 2, 2)
+        want = np.zeros((2, 3, 2, 2))
+        want[:, 1] = 2 * x.data[:, 1]
+        np.testing.assert_array_equal(x.grad, want)
+        with pytest.raises(ShapeError):
+            channel_slice(x, 3)
 
     def test_div_and_sub_gradients(self):
         a = tensor([6.0], precision="double")
@@ -269,3 +255,86 @@ class TestTapeBackward:
             y = softmax_rows(t)
             tape.backward(sum_all(mul(y, y)))
         np.testing.assert_allclose(t.grad.sum(axis=-1), 0.0, atol=1e-12)
+
+
+def naive_attention(q, k, v, heads):
+    """Per block and head: softmax(q k^T / sqrt(d)) v, and the weights."""
+    B, Tq, E = q.shape
+    d = E // heads
+    out = np.empty_like(q)
+    weights = np.empty((B, heads, Tq, k.shape[1]), dtype=q.dtype)
+    for b in range(B):
+        for h in range(heads):
+            c = slice(h * d, (h + 1) * d)
+            scores = q[b, :, c] @ k[b, :, c].T / np.sqrt(d)
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            weights[b, h] = e / e.sum(axis=1, keepdims=True)
+            out[b, :, c] = weights[b, h] @ v[b, :, c]
+    return out, weights
+
+
+class TestWindowAttention:
+    def qkv(self, rng, B=3, Tq=6, Tk=4, E=8, precision="double"):
+        return [tensor(rng.normal(size=(B, T, E)), precision=precision, requires_grad=True)
+                for T in (Tq, Tk, Tk)]
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_per_head_loop(self, rng, heads):
+        q, k, v = self.qkv(rng)
+        out, weights = window_attention(q, k, v, heads)
+        ref_out, ref_w = naive_attention(q.data, k.data, v.data, heads)
+        np.testing.assert_allclose(out.numpy(), ref_out, atol=1e-12)
+        np.testing.assert_allclose(weights, ref_w, atol=1e-12)
+
+    def test_batched_matches_per_block(self, rng):
+        q, k, v = self.qkv(rng, precision="single")
+        out, weights = window_attention(q, k, v, 2)
+        for b in range(3):
+            one = [tensor(t.data[b:b + 1]) for t in (q, k, v)]
+            out_b, weights_b = window_attention(*one, 2)
+            np.testing.assert_array_equal(out.numpy()[b:b + 1], out_b.numpy())
+            np.testing.assert_array_equal(weights[b:b + 1], weights_b)
+
+    def test_grouping_does_not_change_results(self, rng, monkeypatch):
+        g = rng.normal(size=(3, 6, 8)).astype(np.float32)
+        results = []
+        for group_bytes in (1 << 20, 2 * 2 * 4 * 6 * 4):   # all blocks at once; two per group
+            monkeypatch.setattr(wau.tensor, "_ATTENTION_GROUP_BYTES", group_bytes)
+            q, k, v = self.qkv(np.random.default_rng(7), precision="single")
+            with Tape() as tape:
+                out, weights = window_attention(q, k, v, 2)
+                tape.backward(sum_all(mul(out, tensor(g))))
+            results.append([out.data, weights, q.grad, k.grad, v.grad])
+        for a, b in zip(*results):
+            np.testing.assert_array_equal(a, b)
+
+    def test_mixed_precision_rejected(self, rng):
+        q, k, v = self.qkv(rng)
+        with pytest.raises(ContractError):
+            window_attention(q, k, tensor(v.data, precision="single"), 1)
+
+    def test_heads_must_divide_width(self, rng):
+        with pytest.raises(ContractError):
+            window_attention(*self.qkv(rng), 3)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_gradcheck_weighted(self, rng, heads):
+        q, k, v = self.qkv(rng, B=2, Tq=6, Tk=3)
+        weights = tensor(rng.normal(size=(2, 6, 8)), precision="double")
+        report = gradcheck(lambda: mul(window_attention(q, k, v, heads)[0], weights),
+                           [("q", q), ("k", k), ("v", v)])
+        assert report.max_rel_error < 1e-7
+
+    def test_single_precision_agrees_with_double(self, rng):
+        double = self.qkv(rng, B=4, Tq=16, Tk=8)
+        single = [tensor(t.data, requires_grad=True) for t in double]
+        g = rng.normal(size=(4, 16, 8))
+        outs = []
+        for q, k, v in (double, single):
+            with Tape() as tape:
+                out = window_attention(q, k, v, 2)[0]
+                tape.backward(sum_all(mul(out, tensor(g, precision=q.precision))))
+            assert out.data.dtype == q.data.dtype and q.grad.dtype == q.data.dtype
+            outs.append([out.data, q.grad, k.grad, v.grad])
+        for a, b in zip(*outs):
+            assert np.linalg.norm(a - b) <= 1e-5 * np.linalg.norm(a)

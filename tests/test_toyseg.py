@@ -273,6 +273,25 @@ class TestLoss:
                            [("logits", logits)])
         assert report.max_rel_error < 1e-7
 
+    def test_gradcheck_two_classes(self, rng):
+        logits = tensor(rng.normal(size=(2, 3, 2, 3)), precision="double")
+        logits.requires_grad = True
+        masks = rng.integers(0, 3, size=(2, 2, 3)).astype(np.int64)
+        report = gradcheck(lambda: seg_loss(logits, masks, 2), [("logits", logits)])
+        assert report.max_rel_error < 1e-7
+
+    def test_matches_per_pixel_reference(self, rng):
+        raw = rng.normal(size=(2, 3, 4, 5))
+        masks = rng.integers(0, 3, size=(2, 4, 5)).astype(np.int64)
+        probs = np.exp(raw) / np.exp(raw).sum(axis=1, keepdims=True)
+        onehot = np.stack([masks == c for c in range(3)], axis=1)
+        ce = -np.log(probs[onehot]).mean()
+        dice = [(2 * (probs[:, c] * onehot[:, c]).sum() + 1e-6)
+                / (probs[:, c].sum() + onehot[:, c].sum() + 1e-6) for c in (1, 2)]
+        want = ce + 1.0 - np.mean(dice)
+        got = seg_loss(tensor(raw, precision="double"), masks, 2).item()
+        assert abs(got - want) <= 1e-12
+
 
 class TestOptim:
     def test_lr_endpoints_exact(self):

@@ -1,5 +1,6 @@
 """Training loop: bookkeeping, determinism, resumable checkpoints, aborts."""
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -164,6 +165,30 @@ class TestCheckpointResume:
         write_tensor(path, read_tensor(path).reshape(c_in, c_out, kh, kw))
         with pytest.raises(ConfigError, match="stored as"):
             TrainRun.load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("kind", ["param", "adam_m", "adam_v"])
+    def test_vector_stored_with_extra_axis_rejected(self, tmp_path, kind):
+        train(tiny_cfg(epochs=1, warmup_epochs=0), tmp_path)
+        path = tmp_path / "checkpoints" / "final" / "tensors" / f"{kind}__head.bias.waut"
+        bias = read_tensor(path)
+        write_tensor(path, bias.reshape(1, -1))
+        with pytest.raises(ConfigError, match="stored as"):
+            TrainRun.load_checkpoint(path.parent.parent)
+
+    def test_version_1_checkpoint_still_loads(self, tmp_path):
+        run = train(tiny_cfg(epochs=1, warmup_epochs=0), tmp_path)
+        ckpt = tmp_path / "checkpoints" / "final"
+        for path in (ckpt / "tensors").glob("*.waut"):
+            arr = read_tensor(path)
+            dims = (1,) * (4 - arr.ndim) + arr.shape
+            code = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}[arr.dtype]
+            path.write_bytes(b"WAUT" + struct.pack("<BB4I", 1, code, *dims)
+                             + arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+        back = TrainRun.load_checkpoint(ckpt)
+        for (name, p), (_, q) in zip(run.model.parameters(), back.model.parameters()):
+            assert q.shape == p.shape
+            np.testing.assert_array_equal(q.data, p.data)
+            np.testing.assert_array_equal(back.opt.m[name], run.opt.m[name])
 
     @pytest.mark.parametrize("garble", [
         lambda text: text[:len(text) // 2],
