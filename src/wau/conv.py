@@ -2,8 +2,9 @@
 bilinear and transposed-convolution upsamplers and 2x2 max pooling.
 
 All convolutions are stride 1 with zero "same" padding and odd kernels, so
-spatial dimensions are preserved. GEMMs are issued per batch item, which
-keeps results bitwise independent of how many items are batched together.
+spatial dimensions are preserved. Each group is one stacked matmul of its
+weights with (N, C_in*k*k, H*W) im2col patches: one GEMM per batch item, so
+results are bitwise independent of batching. Backward rebuilds the patches.
 """
 from __future__ import annotations
 
@@ -74,27 +75,24 @@ class ConvSpec:
 
 
 def _im2col(xp: np.ndarray, k: int, H: int, W: int) -> np.ndarray:
-    """(N, C, H+k-1, W+k-1) zero-padded input -> (N, H*W, C*k*k) patches."""
+    """(N, C, H+k-1, W+k-1) zero-padded input -> (N, C*k*k, H*W) patches (a view if k = 1)."""
     N, C = xp.shape[:2]
+    if k == 1:
+        return xp.reshape(N, C, H * W)
     cols = np.empty((N, C, k * k, H, W), dtype=xp.dtype)
-    idx = 0
-    for di in range(k):
-        for dj in range(k):
-            cols[:, :, idx] = xp[:, :, di:di + H, dj:dj + W]
-            idx += 1
-    return cols.reshape(N, C * k * k, H * W).transpose(0, 2, 1)
+    for idx in range(k * k):
+        di, dj = divmod(idx, k)
+        cols[:, :, idx] = xp[:, :, di:di + H, dj:dj + W]
+    return cols.reshape(N, C * k * k, H * W)
 
 
 def _col2im(gcols: np.ndarray, grad_xp: np.ndarray, k: int, H: int, W: int) -> None:
-    """Scatter-add (N, H*W, C*k*k) patch gradients back into the padded map."""
-    N = gcols.shape[0]
-    C = grad_xp.shape[1]
-    g = gcols.transpose(0, 2, 1).reshape(N, C, k * k, H, W)
-    idx = 0
-    for di in range(k):
-        for dj in range(k):
-            grad_xp[:, :, di:di + H, dj:dj + W] += g[:, :, idx]
-            idx += 1
+    """Scatter-add (N, C*k*k, H*W) patch gradients back into the padded map."""
+    N, C = grad_xp.shape[:2]
+    g = gcols.reshape(N, C, k * k, H, W)
+    for idx in range(k * k):
+        di, dj = divmod(idx, k)
+        grad_xp[:, :, di:di + H, dj:dj + W] += g[:, :, idx]
 
 
 def _grouped_conv(x: Tensor, weight: Tensor, bias: Tensor | None, groups: int,
@@ -102,21 +100,18 @@ def _grouped_conv(x: Tensor, weight: Tensor, bias: Tensor | None, groups: int,
     xd = x.data
     N, C, H, W = xd.shape
     C_out, C_in_g, k, _ = weight.shape
+    co_g = C_out // groups
     pad = k // 2
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out_data = np.empty((N, C_out, H, W), dtype=xd.dtype)
-    w_flat = [weight.data[g * (C_out // groups):(g + 1) * (C_out // groups)]
-              .reshape(C_out // groups, -1).T for g in range(groups)]
-    cols_by_group = []
+    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
+    w_flat = [weight.data[g * co_g:(g + 1) * co_g].reshape(co_g, -1) for g in range(groups)]
+
+    def patches(g: int) -> np.ndarray:
+        return _im2col(xp[:, g * C_in_g:(g + 1) * C_in_g], k, H, W)
+
+    out_data = np.empty((N, C_out, H * W), dtype=xd.dtype)
     for g in range(groups):
-        xg = xp[:, g * C_in_g:(g + 1) * C_in_g]
-        cols = _im2col(xg, k, H, W)
-        cols_by_group.append(cols)
-        og = np.empty((N, H * W, C_out // groups), dtype=xd.dtype)
-        for n in range(N):
-            og[n] = cols[n] @ w_flat[g]
-        out_data[:, g * (C_out // groups):(g + 1) * (C_out // groups)] = \
-            og.transpose(0, 2, 1).reshape(N, C_out // groups, H, W)
+        np.matmul(w_flat[g], patches(g), out=out_data[:, g * co_g:(g + 1) * co_g])
+    out_data = out_data.reshape(N, C_out, H, W)
     if bias is not None:
         out_data += bias.data.reshape(1, C_out, 1, 1)
     _check_finite(out_data, op_name)
@@ -126,18 +121,13 @@ def _grouped_conv(x: Tensor, weight: Tensor, bias: Tensor | None, groups: int,
 
     def fn(grad, acc):
         gx = np.zeros_like(xp)
-        gw = np.zeros_like(weight.data)
-        co_g = C_out // groups
+        gw = np.empty_like(weight.data)
+        grad3 = grad.reshape(N, C_out, H * W)
         for g in range(groups):
-            g2 = grad[:, g * co_g:(g + 1) * co_g].reshape(N, co_g, H * W).transpose(0, 2, 1)
-            cols = cols_by_group[g]
-            gwg = np.zeros((C_in_g * k * k, co_g), dtype=xd.dtype)
-            gcols = np.empty((N, H * W, C_in_g * k * k), dtype=xd.dtype)
-            for n in range(N):
-                gwg += cols[n].T @ g2[n]
-                gcols[n] = g2[n] @ w_flat[g].T
-            gw[g * co_g:(g + 1) * co_g] = gwg.T.reshape(co_g, C_in_g, k, k)
-            _col2im(gcols, gx[:, g * C_in_g:(g + 1) * C_in_g], k, H, W)
+            gg = grad3[:, g * co_g:(g + 1) * co_g]
+            gw[g * co_g:(g + 1) * co_g] = np.matmul(gg, patches(g).transpose(0, 2, 1)) \
+                .sum(axis=0).reshape(co_g, C_in_g, k, k)
+            _col2im(np.matmul(w_flat[g].T, gg), gx[:, g * C_in_g:(g + 1) * C_in_g], k, H, W)
         acc.add(x, gx[:, :, pad:pad + H, pad:pad + W] if pad else gx)
         acc.add(weight, gw)
         if bias is not None:
@@ -350,10 +340,11 @@ def maxpool2(x: Tensor) -> Tensor:
     out = Tensor(out_data)
 
     def fn(g, acc):
-        onehot = (np.arange(4, dtype=arg.dtype) == arg[..., None])
-        gwin = onehot * g[..., None]
-        gx = gwin.reshape(N, C, H // 2, W // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5) \
-            .reshape(N, C, H, W).astype(xd.dtype)
+        # window slot p = 2*di + dj; a product, not a masked copy, keeps -0.0 where g < 0
+        gx = np.empty_like(xd)
+        for p in range(4):
+            di, dj = divmod(p, 2)
+            np.multiply(arg == p, g, out=gx[:, :, di::2, dj::2])
         acc.add(x, gx)
 
     record("maxpool2", (x,), out, fn)

@@ -87,10 +87,6 @@ class ToyNet:
             out.extend(group)
         return out
 
-    def zero_grad(self) -> None:
-        for _, t in self.parameters():
-            t.grad = None
-
     # -- forward -------------------------------------------------------------
 
     def min_divisor(self) -> int:

@@ -15,6 +15,7 @@ config.ini so downstream commands need nothing else.
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -161,9 +162,13 @@ class TrainRun:
     # -- checkpointing -------------------------------------------------------
 
     def save_checkpoint(self, ckpt_dir) -> Path:
+        """Write a sibling directory, then rename it to `ckpt_dir`, replacing
+        what is there only after a complete save (a failed save leaves it)."""
         ckpt = Path(ckpt_dir)
-        tensors = ckpt / "tensors"
-        tensors.mkdir(parents=True, exist_ok=True)
+        staging, retired = (ckpt.with_name(f".{ckpt.name}.{s}") for s in ("tmp", "old"))
+        shutil.rmtree(staging, ignore_errors=True)
+        tensors = staging / "tensors"
+        tensors.mkdir(parents=True)
         for name, p in self.model.parameters():
             write_tensor(tensors / f"param__{name}.waut", p.data)
             write_tensor(tensors / f"adam_m__{name}.waut", self.opt.m[name])
@@ -180,11 +185,16 @@ class TrainRun:
             "perm": ("" if self.perm is None
                      else ",".join(str(int(i)) for i in self.perm)),
         }
-        (ckpt / "state.txt").write_text(
+        (staging / "state.txt").write_text(
             "".join(f"{k} = {v}\n" for k, v in state.items()))
-        (ckpt / "history.csv").write_text(
+        (staging / "history.csv").write_text(
             "\n".join([METRICS_HEADER] + self.history) + "\n")
-        (ckpt / "config.ini").write_text(serialize_config(self.cfg))
+        (staging / "config.ini").write_text(serialize_config(self.cfg))
+        shutil.rmtree(retired, ignore_errors=True)
+        if ckpt.exists():
+            ckpt.rename(retired)
+        staging.rename(ckpt)
+        shutil.rmtree(retired, ignore_errors=True)
         return ckpt
 
     @classmethod

@@ -1,4 +1,6 @@
 """Convolution and upsampling kernels vs naive-loop oracles, plus gradchecks."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -110,6 +112,79 @@ class TestConvBackward:
             tape.backward(loss)
         assert not spec.weight.grad.any()
         assert not x.grad.any()
+
+    VARIANTS = [("regular", 1), ("grouped", 2), ("depthwise_separable", 1)]
+
+    @staticmethod
+    def weighted_grads(spec, x_arr, weights, precision):
+        x = tensor(x_arr, precision=precision)
+        x.requires_grad = True
+        with Tape() as tape:
+            tape.backward(sum_all(mul(spec(x), tensor(weights, precision=precision))))
+        return x.grad, {n: t.grad for n, t in spec.parameters()}
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("variant,groups", VARIANTS)
+    def test_gradcheck_weighted(self, rng, variant, groups, k):
+        spec = ConvSpec(variant, 2, 4, k, rng, groups=groups, precision="double")
+        spec.bias.data = rng.normal(size=4)
+        x = dtensor(rng.normal(size=(2, 2, 4, 5)), grad=True)
+        weights = dtensor(rng.normal(size=(2, 4, 4, 5)))
+        wrt = [("input", x)] + [(n, t) for n, t in spec.parameters()]
+        report = gradcheck(lambda: mul(spec(x), weights), wrt)
+        assert report.max_rel_error < 1e-7
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("variant,groups", VARIANTS)
+    def test_input_grad_batch_bitwise_equals_per_item(self, rng, variant, groups, k):
+        spec = ConvSpec(variant, 4, 6, k, rng, groups=groups)
+        x_arr = rng.normal(size=(3, 4, 6, 7)).astype(np.float32)
+        weights = rng.normal(size=(3, 6, 6, 7)).astype(np.float32)
+        batched, _ = self.weighted_grads(spec, x_arr, weights, "single")
+        for i in range(3):
+            single, _ = self.weighted_grads(spec, x_arr[i:i + 1], weights[i:i + 1], "single")
+            np.testing.assert_array_equal(batched[i:i + 1], single)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("variant,groups", VARIANTS)
+    def test_single_matches_double(self, rng, variant, groups, k):
+        s64 = ConvSpec(variant, 4, 6, k, np.random.default_rng(5), groups=groups,
+                       precision="double")
+        s32 = ConvSpec(variant, 4, 6, k, np.random.default_rng(5), groups=groups)
+        s64.bias.data = rng.normal(size=6)
+        for (_, t32), (_, t64) in zip(s32.parameters(), s64.parameters()):
+            t32.data = t64.data.astype(np.float32)
+            t64.data = t32.data.astype(np.float64)
+        x_arr = rng.normal(size=(2, 4, 9, 7)).astype(np.float32)
+        weights = rng.normal(size=(2, 6, 9, 7)).astype(np.float32)
+        gx32, gp32 = self.weighted_grads(s32, x_arr, weights, "single")
+        gx64, gp64 = self.weighted_grads(s64, x_arr.astype(np.float64),
+                                         weights.astype(np.float64), "double")
+
+        def rel_l2(a, b):
+            return np.linalg.norm(a.astype(np.float64) - b) / np.linalg.norm(b)
+
+        assert rel_l2(gx32, gx64) <= 1e-5
+        for name in gp64:
+            assert rel_l2(gp32[name], gp64[name]) <= 1e-5, name
+
+    def test_forward_keeps_only_padded_input_and_output(self, rng):
+        # Patches are rebuilt in backward; keeping them would hold 9x the input.
+        spec = ConvSpec("regular", 8, 8, 3, rng)
+        x = tensor(rng.normal(size=(4, 8, 64, 64)).astype(np.float32))
+        x.requires_grad = True
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                out = spec(x)
+                held = tracemalloc.get_traced_memory()[0] - before
+                tape.backward(sum_all(out))
+        finally:
+            tracemalloc.stop()
+        padded_input = 4 * 8 * 66 * 66 * 4
+        assert held <= 1.1 * (padded_input + out.data.nbytes)
+        assert x.grad is not None
 
 
 class TestBilinear:

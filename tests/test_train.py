@@ -118,6 +118,42 @@ class TestCheckpointResume:
             assert f"adam_m__{name}.waut" in names
             assert f"adam_v__{name}.waut" in names
 
+    def test_failed_save_leaves_previous_checkpoint(self, tmp_path, monkeypatch):
+        run = TrainRun(tiny_cfg())
+        ckpt = run.save_checkpoint(tmp_path / "final")
+        before = {p.relative_to(ckpt): p.read_bytes()
+                  for p in ckpt.rglob("*") if p.is_file()}
+        for _, p in run.model.parameters():
+            p.data = p.data + 1.0
+        calls = []
+
+        def failing_write(path, arr):
+            calls.append(path)
+            if len(calls) == 4:
+                raise OSError("disk full")
+            write_tensor(path, arr)
+
+        monkeypatch.setattr("wau.toyseg.train.write_tensor", failing_write)
+        with pytest.raises(OSError):
+            run.save_checkpoint(ckpt)
+        after = {p.relative_to(ckpt): p.read_bytes()
+                 for p in ckpt.rglob("*") if p.is_file()}
+        assert after == before
+        TrainRun.load_checkpoint(ckpt)
+
+    def test_resave_replaces_checkpoint_and_cleans_up(self, tmp_path):
+        run = TrainRun(tiny_cfg())
+        run.save_checkpoint(tmp_path / "final")
+        (tmp_path / "final" / "stale.txt").write_text("from an older save")
+        for _, p in run.model.parameters():
+            p.data = p.data + 1.0
+        ckpt = run.save_checkpoint(tmp_path / "final")
+        assert [p.name for p in tmp_path.iterdir()] == ["final"]
+        assert not (ckpt / "stale.txt").exists()
+        restored = TrainRun.load_checkpoint(ckpt)
+        for (_, a), (_, b) in zip(restored.model.parameters(), run.model.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+
     def test_load_checkpoint_restores_scalars(self, tmp_path):
         cfg = tiny_cfg(epochs=2, checkpoint_every=3)
         train(cfg, tmp_path)
