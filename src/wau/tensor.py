@@ -92,20 +92,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, {self.precision}{flag})"
 
-    # Convenience arithmetic; the module functions are the real API.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
 
 def tensor(values, precision: str = "single", requires_grad: bool = False) -> Tensor:
     """Build a tensor from array-like values, validating finiteness."""
@@ -280,20 +266,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _match_precision(a, b, "sub")
-    _match_shape(a, b, "sub")
-    out = Tensor(a.data - b.data)
-    _check_finite(out.data, "sub")
-
-    def fn(g, acc):
-        acc.add(a, g)
-        acc.add(b, -g)
-
-    record("sub", (a, b), out, fn)
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product of same-shape tensors."""
     _match_precision(a, b, "mul")
@@ -306,50 +278,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         acc.add(b, g * a.data)
 
     record("mul", (a, b), out, fn)
-    return out
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise division; b may also be a single-element tensor."""
-    _match_precision(a, b, "div")
-    if b.size != 1:
-        _match_shape(a, b, "div")
-    bd = b.data if b.size != 1 else b.data.reshape(-1)[0]
-    out = Tensor(a.data / bd)
-    _check_finite(out.data, "div")
-
-    def fn(g, acc):
-        acc.add(a, g / bd)
-        gb = -g * a.data / (bd * bd)
-        if b.size == 1:
-            gb = gb.sum(dtype=b.data.dtype).reshape(b.shape)
-        acc.add(b, gb)
-
-    record("div", (a, b), out, fn)
-    return out
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)  # python scalar: no dtype promotion
-    out = Tensor(a.data * s)
-    _check_finite(out.data, "scale")
-
-    def fn(g, acc):
-        acc.add(a, g * s)
-
-    record("scale", (a,), out, fn)
-    return out
-
-
-def add_scalar(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-    out = Tensor(a.data + s)
-    _check_finite(out.data, "add_scalar")
-
-    def fn(g, acc):
-        acc.add(a, g)
-
-    record("add_scalar", (a,), out, fn)
     return out
 
 
@@ -393,21 +321,6 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     return out
 
 
-def channel_slice(a: Tensor, c: int) -> Tensor:
-    """Channel c of an (N, C, H, W) map, as (N, 1, H, W)."""
-    if a.ndim != 4 or not 0 <= c < a.shape[1]:
-        raise ShapeError(f"channel_slice: no channel {c} in {a.shape}")
-    out = Tensor(np.ascontiguousarray(a.data[:, c:c + 1]))
-
-    def fn(g, acc):
-        full = np.zeros_like(a.data)
-        full[:, c:c + 1] = g
-        acc.add(a, full)
-
-    record("channel_slice", (a,), out, fn)
-    return out
-
-
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum(dtype=a.data.dtype).reshape(1))
     _check_finite(out.data, "sum_all")
@@ -417,10 +330,6 @@ def sum_all(a: Tensor) -> Tensor:
 
     record("sum_all", (a,), out, fn)
     return out
-
-
-def mean_all(a: Tensor) -> Tensor:
-    return scale(sum_all(a), 1.0 / a.size)
 
 
 # ---------------------------------------------------------------------------
@@ -520,42 +429,6 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tenso
 
     record("window_attention", (q, k, v), out, fn)
     return out, weights.swapaxes(-1, -2)
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis (each leading index is one row)."""
-    if a.ndim < 2:
-        raise ShapeError(f"softmax_rows needs rank >= 2, got {a.shape}")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
-    _check_finite(out_data, "softmax_rows")
-    out = Tensor(out_data)
-
-    def fn(g, acc):
-        dot = (g * out_data).sum(axis=-1, keepdims=True)
-        acc.add(a, out_data * (g - dot))
-
-    record("softmax_rows", (a,), out, fn)
-    return out
-
-
-def log_softmax_rows(a: Tensor) -> Tensor:
-    """Numerically stable log-softmax over the last axis."""
-    if a.ndim < 2:
-        raise ShapeError(f"log_softmax_rows needs rank >= 2, got {a.shape}")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out_data = shifted - lse
-    _check_finite(out_data, "log_softmax_rows")
-    out = Tensor(out_data)
-    soft = np.exp(out_data)
-
-    def fn(g, acc):
-        acc.add(a, g - soft * g.sum(axis=-1, keepdims=True))
-
-    record("log_softmax_rows", (a,), out, fn)
-    return out
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

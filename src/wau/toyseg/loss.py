@@ -1,26 +1,29 @@
 """Training objective: pixelwise cross-entropy plus soft Dice, weighted 1:1.
 
-The Dice term is 1 minus the mean soft Dice over foreground classes, with a
-small smoothing constant so empty-vs-empty agreement scores 1 rather than
-dividing by zero. Both terms are built from tape primitives, so the loss is
-differentiable end to end.
+    L = CE + 1 - (1/K) Σ_{c=1..K} D_c,   CE = -(1/M) Σ y·log p,
+    D_c = (2·Σ p_c·y_c + SMOOTH) / den_c,   den_c = Σ p_c + Σ y_c + SMOOTH
+
+over the M = N·H·W pixels, with p the softmax of the (N, K+1, H, W) logits
+over the class axis and y the one-hot masks. SMOOTH makes empty-vs-empty
+agreement score 1 rather than divide by zero.
+
+The loss is one tape op, "seg_loss". Its forward takes a single log-softmax
+and gets p as its exp. Its backward, with g_p,c = -(2·y_c - D_c)/(K·den_c)
+for c ≥ 1 and 0 for the background, is
+
+    dz = p∘(g_p - Σ_c p_c·g_p,c) + (p - y)/M
+
+and keeps only the log-probabilities, the one-hot and the per-class D_c and
+den_c.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import (ContractError, ShapeError, Tensor, add, add_scalar, channel_slice, div,
-                      log_softmax_rows, mul, permute, scale, softmax_rows, sum_all, tensor)
+from .. import tensor
+from ..tensor import ContractError, ShapeError, Tensor, _check_finite
 
 SMOOTH = 1e-6
-
-
-def _one_hot(masks: np.ndarray, classes: int, dtype) -> np.ndarray:
-    n, h, w = masks.shape
-    oh = np.zeros((n, classes + 1, h, w), dtype=dtype)
-    for c in range(classes + 1):
-        oh[:, c][masks == c] = 1.0
-    return oh
 
 
 def seg_loss(logits: Tensor, masks: np.ndarray, classes: int) -> Tensor:
@@ -35,23 +38,27 @@ def seg_loss(logits: Tensor, masks: np.ndarray, classes: int) -> Tensor:
     if masks.min() < 0 or masks.max() > classes:
         raise ContractError(f"mask labels outside 0..{classes}")
 
-    onehot_data = _one_hot(masks, classes, logits.data.dtype)
-    onehot = tensor(onehot_data, precision=logits.precision)
+    z = logits.data
+    pixels = n * h * w
+    shifted = z - z.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    onehot = (masks[:, None] == np.arange(ch).reshape(ch, 1, 1)).astype(z.dtype)
+    ce = -(log_probs * onehot).sum() / pixels
+    fg_p, fg_y = np.exp(log_probs[:, 1:]), onehot[:, 1:]
+    den = (fg_p.sum(axis=(0, 2, 3), keepdims=True) + fg_y.sum(axis=(0, 2, 3), keepdims=True)
+           + SMOOTH)
+    dice = (2 * (fg_p * fg_y).sum(axis=(0, 2, 3), keepdims=True) + SMOOTH) / den
+    out = Tensor((ce + 1 - dice.mean()).reshape(1))
+    _check_finite(out.data, "seg_loss")
 
-    # channel-last view so the row axis is the class axis
-    ch_last = permute(logits, (0, 2, 3, 1))
-    log_probs = permute(log_softmax_rows(ch_last), (0, 3, 1, 2))
-    ce = scale(sum_all(mul(log_probs, onehot)), -1.0 / (n * h * w))
+    def fn(g, acc):
+        p = np.exp(log_probs)
+        g_p = np.zeros_like(p)
+        g_p[:, 1:] = (dice - 2 * onehot[:, 1:]) / (classes * den)
+        g_p -= (p * g_p).sum(axis=1, keepdims=True)
+        g_p *= p
+        g_p += (p - onehot) / pixels
+        acc.add(logits, g_p * g)
 
-    probs = permute(softmax_rows(ch_last), (0, 3, 1, 2))
-    dice_terms = None
-    for c in range(1, classes + 1):
-        p_c = channel_slice(probs, c)
-        g_c = tensor(onehot_data[:, c:c + 1], precision=logits.precision)
-        inter = sum_all(mul(p_c, g_c))
-        denom = add(sum_all(p_c), sum_all(g_c))
-        dice_c = div(add_scalar(scale(inter, 2.0), SMOOTH), add_scalar(denom, SMOOTH))
-        dice_terms = dice_c if dice_terms is None else add(dice_terms, dice_c)
-    mean_dice = scale(dice_terms, 1.0 / classes)
-    dice_loss = add_scalar(scale(mean_dice, -1.0), 1.0)
-    return add(ce, dice_loss)
+    tensor.record("seg_loss", (logits,), out, fn)
+    return out

@@ -30,6 +30,7 @@ from .model import ToyNet
 from .optim import Adam, lr_at
 
 METRICS_HEADER = "epoch,step,lr,loss,train_dsc,val_dsc,val_hd"
+_CHECKPOINT_FILES = ("state.txt", "config.ini", "history.csv")
 
 
 class TrainingAborted(RuntimeError):
@@ -165,7 +166,7 @@ class TrainRun:
         """Write a sibling directory, then rename it to `ckpt_dir`, replacing
         what is there only after a complete save (a failed save leaves it)."""
         ckpt = Path(ckpt_dir)
-        staging, retired = (ckpt.with_name(f".{ckpt.name}.{s}") for s in ("tmp", "old"))
+        staging, retired = _sibling(ckpt, "tmp"), _sibling(ckpt, "old")
         shutil.rmtree(staging, ignore_errors=True)
         tensors = staging / "tensors"
         tensors.mkdir(parents=True)
@@ -199,8 +200,13 @@ class TrainRun:
 
     @classmethod
     def load_checkpoint(cls, ckpt_dir) -> "TrainRun":
+        """Restore a saved trajectory; a missing `ckpt_dir` is recovered from
+        its `.NAME.old` copy when a save stopped between its two renames."""
         ckpt = Path(ckpt_dir)
-        for required in ("state.txt", "config.ini", "history.csv"):
+        retired = _sibling(ckpt, "old")
+        if not ckpt.exists() and all((retired / f).is_file() for f in _CHECKPOINT_FILES):
+            retired.rename(ckpt)
+        for required in _CHECKPOINT_FILES:
             if not (ckpt / required).is_file():
                 raise ConfigError(f"not a checkpoint directory: {ckpt} has no {required}")
         state_file = ckpt / "state.txt"
@@ -272,6 +278,11 @@ def train(cfg: RunConfig, out_dir, resume=None) -> TrainRun:
     run = TrainRun.load_checkpoint(resume) if resume else TrainRun(cfg)
     run.run(out_dir)
     return run
+
+
+def _sibling(ckpt: Path, kind: str) -> Path:
+    """The hidden `.NAME.kind` directory next to checkpoint NAME, used while saving."""
+    return ckpt.with_name(f".{ckpt.name}.{kind}")
 
 
 def _read_exact(path: Path, like: np.ndarray, what: str) -> np.ndarray:

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 import wau.attention
 from wau import metering
 from wau.analysis import gradcheck
-from wau.tensor import ContractError, ShapeError, tensor
+from wau.tensor import ContractError, NumericsError, ShapeError, Tape, Tensor, tensor
 from wau.toyseg.data import augment, gen_dataset, make_sample
 from wau.toyseg.loss import seg_loss
 from wau.toyseg.metrics import (dice_score, hausdorff, mean_dice,
@@ -273,11 +273,12 @@ class TestLoss:
                            [("logits", logits)])
         assert report.max_rel_error < 1e-7
 
-    def test_gradcheck_two_classes(self, rng):
-        logits = tensor(rng.normal(size=(2, 3, 2, 3)), precision="double")
+    @pytest.mark.parametrize("classes", [1, 2, 3])
+    def test_gradcheck_over_class_counts(self, rng, classes):
+        logits = tensor(rng.normal(size=(2, classes + 1, 2, 3)), precision="double")
         logits.requires_grad = True
-        masks = rng.integers(0, 3, size=(2, 2, 3)).astype(np.int64)
-        report = gradcheck(lambda: seg_loss(logits, masks, 2), [("logits", logits)])
+        masks = rng.integers(0, classes + 1, size=(2, 2, 3)).astype(np.int64)
+        report = gradcheck(lambda: seg_loss(logits, masks, classes), [("logits", logits)])
         assert report.max_rel_error < 1e-7
 
     def test_matches_per_pixel_reference(self, rng):
@@ -291,6 +292,49 @@ class TestLoss:
         want = ce + 1.0 - np.mean(dice)
         got = seg_loss(tensor(raw, precision="double"), masks, 2).item()
         assert abs(got - want) <= 1e-12
+
+    @staticmethod
+    def loss_and_grad(logits, masks, classes):
+        with Tape() as tape:
+            loss = seg_loss(logits, masks, classes)
+            nodes = len(tape)
+            tape.backward(loss)
+        return loss, logits.grad, nodes
+
+    def test_extreme_logits_give_finite_loss_and_gradient(self, rng):
+        masks = rng.integers(0, 3, size=(2, 4, 5)).astype(np.int64)
+        raw = np.where(rng.random((2, 3, 4, 5)) < 0.5, 1000.0, -1000.0)
+        loss, grad, _ = self.loss_and_grad(tensor(raw, requires_grad=True), masks, 2)
+        assert np.isfinite(loss.item()) and np.all(np.isfinite(grad))
+
+    @given(raw=hnp.arrays(np.float64, (2, 3, 2, 3), elements=st.floats(-10, 10)),
+           masks=hnp.arrays(np.int64, (2, 2, 3), elements=st.integers(0, 2)))
+    def test_gradient_sums_to_zero_over_classes(self, raw, masks):
+        # the softmax is shift-invariant along the class axis
+        logits = tensor(raw, precision="double", requires_grad=True)
+        _, grad, _ = self.loss_and_grad(logits, masks, 2)
+        np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-15)
+
+    def test_single_precision_agrees_with_double(self, rng):
+        raw = rng.normal(size=(4, 3, 8, 8)) * 3
+        masks = rng.integers(0, 3, size=(4, 8, 8)).astype(np.int64)
+        (l64, g64, _), (l32, g32, _) = (
+            self.loss_and_grad(tensor(raw, precision=p, requires_grad=True), masks, 2)
+            for p in ("double", "single"))
+        assert l32.data.dtype == np.float32 and g32.dtype == np.float32
+        assert abs(l32.item() - l64.item()) <= 1e-5 * abs(l64.item())
+        assert np.linalg.norm(g32 - g64) <= 1e-5 * np.linalg.norm(g64)
+
+    def test_records_one_tape_node(self, rng):
+        logits = tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        masks = rng.integers(0, 3, size=(2, 4, 4)).astype(np.int64)
+        assert self.loss_and_grad(logits, masks, 2)[2] == 1
+
+    def test_nonfinite_logit_names_the_op(self):
+        raw = np.zeros((1, 2, 2, 2))
+        raw[0, 1, 0, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="seg_loss"):
+            seg_loss(Tensor(raw), np.zeros((1, 2, 2), dtype=np.int64), 1)
 
 
 class TestOptim:

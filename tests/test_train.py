@@ -1,14 +1,19 @@
 """Training loop: bookkeeping, determinism, resumable checkpoints, aborts."""
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wau.config import ConfigError, DataConfig, ModelConfig, RunConfig, TrainConfig
+from wau.config import (ConfigError, DataConfig, ModelConfig, RunConfig, TrainConfig,
+                        parse_config)
+from wau.tensor import Tape, tensor
 from wau.tensorio import read_tensor, write_tensor
+from wau.toyseg.data import gen_dataset
+from wau.toyseg.loss import seg_loss
 from wau.toyseg.train import (METRICS_HEADER, TrainingAborted, TrainRun,
-                              evaluate, load_parameters, train)
+                              build_model_from_config, evaluate, load_parameters, train)
 
 
 def tiny_cfg(**train_kw):
@@ -65,6 +70,21 @@ class TestBookkeeping:
         cfg.data.height = 10  # wau at depth 1, window 2 needs divisor 4
         with pytest.raises(ConfigError):
             TrainRun(cfg)
+
+
+def test_reference_train_step_records_39_tape_nodes():
+    # The README quotes this count and the benchmark reports it as
+    # tensor.nodes_per_step.wau: 38 nodes for the net, 1 for the loss.
+    cfg = parse_config(Path(__file__).parents[1] / "configs" / "acceptance.ini")
+    d = cfg.data
+    samples = gen_dataset(cfg.train.batch_size, d.height, d.width, d.classes, cfg.train.seed)
+    x = tensor(np.stack([s.image for s in samples]), precision=cfg.train.precision)
+    model = build_model_from_config(cfg)
+    with Tape() as tape:
+        logits = model.forward(x)
+        model_nodes = len(tape)
+        seg_loss(logits, np.stack([s.mask for s in samples]), d.classes)
+    assert (cfg.model.upsampler, model_nodes, len(tape)) == ("wau", 38, 39)
 
 
 class TestDeterminism:
@@ -140,6 +160,31 @@ class TestCheckpointResume:
                  for p in ckpt.rglob("*") if p.is_file()}
         assert after == before
         TrainRun.load_checkpoint(ckpt)
+
+    def test_crash_between_renames_recovers_on_load(self, tmp_path, monkeypatch):
+        run = TrainRun(tiny_cfg())
+        ckpt = run.save_checkpoint(tmp_path / "final")
+        before = {p.relative_to(ckpt): p.read_bytes()
+                  for p in ckpt.rglob("*") if p.is_file()}
+        for _, p in run.model.parameters():
+            p.data = p.data + 1.0
+        rename = Path.rename
+
+        def crash_before_swap(self, target):
+            if self.name == ".final.tmp":
+                raise OSError("power cut")
+            return rename(self, target)
+
+        monkeypatch.setattr(Path, "rename", crash_before_swap)
+        with pytest.raises(OSError):
+            run.save_checkpoint(ckpt)
+        monkeypatch.undo()
+        assert not ckpt.exists() and (tmp_path / ".final.old").is_dir()
+        TrainRun.load_checkpoint(ckpt)
+        after = {p.relative_to(ckpt): p.read_bytes()
+                 for p in ckpt.rglob("*") if p.is_file()}
+        assert after == before
+        assert not (tmp_path / ".final.old").exists()
 
     def test_resave_replaces_checkpoint_and_cleans_up(self, tmp_path):
         run = TrainRun(tiny_cfg())
