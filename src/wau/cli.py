@@ -16,7 +16,7 @@ from .analysis import (AnalysisError, attention_flops, build_gradcheck_target,
 from .config import ConfigError, RunConfig, parse_config
 from .tensor import ContractError, NumericsError, ShapeError
 from .toyseg.train import (TrainingAborted, TrainRun, build_model_from_config,
-                           evaluate, load_parameters, train)
+                           evaluate, load_parameters, resolve_checkpoint, train)
 from .viz import export_attention, export_features
 
 # Bad input: reported as "config error: ..." with exit code 2.
@@ -30,7 +30,7 @@ def _load_config(args, default_from_checkpoint: bool = False) -> RunConfig:
     if args.config is not None:
         cfg = parse_config(args.config)
     elif default_from_checkpoint and getattr(args, "checkpoint", None):
-        ckpt_cfg = Path(args.checkpoint) / "config.ini"
+        ckpt_cfg = resolve_checkpoint(args.checkpoint) / "config.ini"
         if not ckpt_cfg.is_file():
             raise ConfigError(f"checkpoint has no config.ini: {args.checkpoint}")
         cfg = parse_config(ckpt_cfg)

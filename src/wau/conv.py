@@ -2,9 +2,11 @@
 bilinear and transposed-convolution upsamplers and 2x2 max pooling.
 
 All convolutions are stride 1 with zero "same" padding and odd kernels, so
-spatial dimensions are preserved. Each group is one stacked matmul of its
-weights with (N, C_in*k*k, H*W) im2col patches: one GEMM per batch item, so
-results are bitwise independent of batching. Backward rebuilds the patches.
+spatial dimensions are preserved. Every variant runs on one shifted-tap
+kernel: tap (di, dj) of a row-padded flat input is a contiguous slice, and
+the output accumulates k*k stacked GEMMs on the padded-width grid, with no
+patch matrix. One GEMM per batch item and group keeps results bitwise
+independent of batching.
 """
 from __future__ import annotations
 
@@ -74,98 +76,67 @@ class ConvSpec:
         return conv2d(x, self)
 
 
-def _im2col(xp: np.ndarray, k: int, H: int, W: int) -> np.ndarray:
-    """(N, C, H+k-1, W+k-1) zero-padded input -> (N, C*k*k, H*W) patches (a view if k = 1)."""
-    N, C = xp.shape[:2]
-    if k == 1:
-        return xp.reshape(N, C, H * W)
-    cols = np.empty((N, C, k * k, H, W), dtype=xp.dtype)
-    for idx in range(k * k):
-        di, dj = divmod(idx, k)
-        cols[:, :, idx] = xp[:, :, di:di + H, dj:dj + W]
-    return cols.reshape(N, C * k * k, H * W)
-
-
-def _col2im(gcols: np.ndarray, grad_xp: np.ndarray, k: int, H: int, W: int) -> None:
-    """Scatter-add (N, C*k*k, H*W) patch gradients back into the padded map."""
-    N, C = grad_xp.shape[:2]
-    g = gcols.reshape(N, C, k * k, H, W)
-    for idx in range(k * k):
-        di, dj = divmod(idx, k)
-        grad_xp[:, :, di:di + H, dj:dj + W] += g[:, :, idx]
+def _tap_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One tap's stacked product a @ b into `out`. At inner dimension 1 it is a
+    broadcast multiply: the same products, without matmul's slow path there."""
+    if a.shape[-1] == 1:
+        return np.multiply(a, b, out=out)
+    return np.matmul(a, b, out=out)
 
 
 def _grouped_conv(x: Tensor, weight: Tensor, bias: Tensor | None, groups: int,
                   op_name: str) -> Tensor:
     xd = x.data
     N, C, H, W = xd.shape
-    C_out, C_in_g, k, _ = weight.shape
-    co_g = C_out // groups
-    pad = k // 2
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
-    w_flat = [weight.data[g * co_g:(g + 1) * co_g].reshape(co_g, -1) for g in range(groups)]
+    C_out, ci_g, k, _ = weight.shape
+    G, co_g, p = groups, C_out // groups, k // 2
+    Hp, Wp = H + 2 * p, W + 2 * p
+    L = H * Wp
+    offsets = [di * Wp + dj for di in range(k) for dj in range(k)]
+    # (k*k, G, co_g, ci_g): contiguous, so every tap product is a BLAS call
+    taps = np.ascontiguousarray(
+        weight.data.reshape(G, co_g, ci_g, k * k).transpose(3, 0, 1, 2))
+    if k == 1:
+        xf = xd.reshape(N, G, ci_g, L)
+    else:
+        xf = np.zeros((N, G, ci_g, Hp * Wp + 2 * p), dtype=xd.dtype)
+        xf[..., :Hp * Wp].reshape(N, C, Hp, Wp)[:, :, p:p + H, p:p + W] = xd
 
-    def patches(g: int) -> np.ndarray:
-        return _im2col(xp[:, g * C_in_g:(g + 1) * C_in_g], k, H, W)
+    def tap(t: int) -> np.ndarray:
+        return xf[..., offsets[t]:offsets[t] + L]
 
-    out_data = np.empty((N, C_out, H * W), dtype=xd.dtype)
-    for g in range(groups):
-        np.matmul(w_flat[g], patches(g), out=out_data[:, g * co_g:(g + 1) * co_g])
-    out_data = out_data.reshape(N, C_out, H, W)
-    if bias is not None:
-        out_data += bias.data.reshape(1, C_out, 1, 1)
+    wide = _tap_product(taps[0], tap(0), np.empty((N, G, co_g, L), dtype=xd.dtype))
+    tmp = np.empty_like(wide)
+    for t in range(1, k * k):
+        wide += _tap_product(taps[t], tap(t), tmp)
+    del tmp
+    out_data = wide.reshape(N, C_out, H, Wp)[..., :W]
+    out_data = (np.ascontiguousarray(out_data) if bias is None
+                else out_data + bias.data.reshape(1, C_out, 1, 1))
     _check_finite(out_data, op_name)
     out = Tensor(out_data)
 
-    metering.add_macs(N * H * W * C_in_g * k * k * C_out)
+    metering.add_macs(N * H * W * ci_g * k * k * C_out)
 
     def fn(grad, acc):
-        gx = np.zeros_like(xp)
-        gw = np.empty_like(weight.data)
-        grad3 = grad.reshape(N, C_out, H * W)
-        for g in range(groups):
-            gg = grad3[:, g * co_g:(g + 1) * co_g]
-            gw[g * co_g:(g + 1) * co_g] = np.matmul(gg, patches(g).transpose(0, 2, 1)) \
-                .sum(axis=0).reshape(co_g, C_in_g, k, k)
-            _col2im(np.matmul(w_flat[g].T, gg), gx[:, g * C_in_g:(g + 1) * C_in_g], k, H, W)
-        acc.add(x, gx[:, :, pad:pad + H, pad:pad + W] if pad else gx)
-        acc.add(weight, gw)
+        if k == 1:
+            g_wide = grad.reshape(N, G, co_g, L)
+        else:
+            g_wide = np.zeros((N, G, co_g, L), dtype=xd.dtype)
+            g_wide.reshape(N, C_out, H, Wp)[..., :W] = grad
+        gxf = np.zeros_like(xf)
+        gw = np.empty_like(taps)
+        tmp = np.empty((N, G, ci_g, L), dtype=xd.dtype)
+        for t, off in enumerate(offsets):
+            gxf[..., off:off + L] += _tap_product(taps[t].transpose(0, 2, 1), g_wide, tmp)
+            gw[t] = np.matmul(g_wide, tap(t).transpose(0, 1, 3, 2)).sum(axis=0)
+        gx = gxf[..., :Hp * Wp].reshape(N, C, Hp, Wp)[:, :, p:p + H, p:p + W]
+        acc.add(x, gx)
+        acc.add(weight, gw.transpose(1, 2, 3, 0).reshape(C_out, ci_g, k, k))
         if bias is not None:
             acc.add(bias, grad.sum(axis=(0, 2, 3), dtype=xd.dtype))
 
     record(op_name, (x, weight) + ((bias,) if bias is not None else ()), out, fn)
-    return out
-
-
-def _depthwise_conv(x: Tensor, weight: Tensor) -> Tensor:
-    xd = x.data
-    N, C, H, W = xd.shape
-    k = weight.shape[2]
-    pad = k // 2
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out_data = np.zeros((N, C, H, W), dtype=xd.dtype)
-    for di in range(k):
-        for dj in range(k):
-            out_data += xp[:, :, di:di + H, dj:dj + W] * \
-                weight.data[:, 0, di, dj].reshape(1, C, 1, 1)
-    _check_finite(out_data, "depthwise_conv")
-    out = Tensor(out_data)
-
-    metering.add_macs(N * H * W * C * k * k)
-
-    def fn(grad, acc):
-        gx = np.zeros_like(xp)
-        gw = np.zeros_like(weight.data)
-        for di in range(k):
-            for dj in range(k):
-                gx[:, :, di:di + H, dj:dj + W] += grad * \
-                    weight.data[:, 0, di, dj].reshape(1, C, 1, 1)
-                gw[:, 0, di, dj] = (grad * xp[:, :, di:di + H, dj:dj + W]).sum(
-                    axis=(0, 2, 3), dtype=xd.dtype)
-        acc.add(x, gx[:, :, pad:pad + H, pad:pad + W] if pad else gx)
-        acc.add(weight, gw)
-
-    record("depthwise_conv", (x, weight), out, fn)
     return out
 
 
@@ -178,7 +149,7 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
             f"conv2d: input has {x.shape[1]} channels, spec wants {spec.in_channels}")
     _match_precision(x, spec.weight, "conv2d")
     if spec.variant == "depthwise_separable":
-        mid = _depthwise_conv(x, spec.weight)
+        mid = _grouped_conv(x, spec.weight, None, spec.in_channels, "depthwise_conv")
         return _grouped_conv(mid, spec.point_weight, spec.bias, 1, "pointwise_conv")
     return _grouped_conv(x, spec.weight, spec.bias, spec.groups, "conv2d")
 
@@ -332,15 +303,18 @@ def maxpool2(x: Tensor) -> Tensor:
     if H % 2 or W % 2:
         raise ShapeError(f"maxpool2 needs even spatial dims, got {H}x{W}")
     xd = x.data
-    win = xd.reshape(N, C, H // 2, 2, W // 2, 2).transpose(0, 1, 2, 4, 3, 5) \
-        .reshape(N, C, H // 2, W // 2, 4)
-    arg = win.argmax(axis=-1)
-    out_data = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    # window slot p = 2*di + dj
+    slots = [xd[:, :, di::2, dj::2] for di in (0, 1) for dj in (0, 1)]
+    out_data = np.maximum(np.maximum(slots[0], slots[1]), np.maximum(slots[2], slots[3]))
     _check_finite(out_data, "maxpool2")
+    # first slot holding the maximum: later slots are overwritten by earlier ones
+    arg = np.full(out_data.shape, 3, dtype=np.uint8)
+    for p in (2, 1, 0):
+        np.copyto(arg, p, where=slots[p] == out_data)
     out = Tensor(out_data)
 
     def fn(g, acc):
-        # window slot p = 2*di + dj; a product, not a masked copy, keeps -0.0 where g < 0
+        # a product, not a masked copy, keeps -0.0 where g < 0
         gx = np.empty_like(xd)
         for p in range(4):
             di, dj = divmod(p, 2)

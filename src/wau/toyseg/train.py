@@ -200,12 +200,8 @@ class TrainRun:
 
     @classmethod
     def load_checkpoint(cls, ckpt_dir) -> "TrainRun":
-        """Restore a saved trajectory; a missing `ckpt_dir` is recovered from
-        its `.NAME.old` copy when a save stopped between its two renames."""
-        ckpt = Path(ckpt_dir)
-        retired = _sibling(ckpt, "old")
-        if not ckpt.exists() and all((retired / f).is_file() for f in _CHECKPOINT_FILES):
-            retired.rename(ckpt)
+        """Restore a saved trajectory (see `resolve_checkpoint`)."""
+        ckpt = resolve_checkpoint(ckpt_dir)
         for required in _CHECKPOINT_FILES:
             if not (ckpt / required).is_file():
                 raise ConfigError(f"not a checkpoint directory: {ckpt} has no {required}")
@@ -280,6 +276,16 @@ def train(cfg: RunConfig, out_dir, resume=None) -> TrainRun:
     return run
 
 
+def resolve_checkpoint(ckpt_dir) -> Path:
+    """`ckpt_dir` as a Path; when it is missing it is recovered from its
+    `.NAME.old` copy, which a save stopped between its two renames leaves."""
+    ckpt = Path(ckpt_dir)
+    retired = _sibling(ckpt, "old")
+    if not ckpt.exists() and all((retired / f).is_file() for f in _CHECKPOINT_FILES):
+        retired.rename(ckpt)
+    return ckpt
+
+
 def _sibling(ckpt: Path, kind: str) -> Path:
     """The hidden `.NAME.kind` directory next to checkpoint NAME, used while saving."""
     return ckpt.with_name(f".{ckpt.name}.{kind}")
@@ -297,7 +303,7 @@ def _read_exact(path: Path, like: np.ndarray, what: str) -> np.ndarray:
 
 
 def load_parameters(model: ToyNet, ckpt_dir) -> None:
-    tensors = Path(ckpt_dir) / "tensors"
+    tensors = resolve_checkpoint(ckpt_dir) / "tensors"
     for name, p in model.parameters():
         p.data = _read_exact(tensors / f"param__{name}.waut", p.data, f"parameter {name}")
 

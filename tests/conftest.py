@@ -92,3 +92,19 @@ def naive_transposed(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     if b is not None:
         out += b[None, :, None, None]
     return out
+
+
+def exhaustive_hausdorff(pred: np.ndarray, target: np.ndarray) -> float:
+    """Symmetric Hausdorff distance by a full |A| x |B| scan of foreground pairs."""
+    a = np.argwhere(pred).astype(np.float64)
+    b = np.argwhere(target).astype(np.float64)
+    if a.size == 0 and b.size == 0:
+        return 0.0
+    if a.size == 0 or b.size == 0:
+        h, w = pred.shape
+        return float(np.hypot(h - 1, w - 1))
+
+    def directed_sq(src, dst):
+        return float(((src[:, None, :] - dst[None, :, :]) ** 2).sum(axis=2).min(axis=1).max())
+
+    return float(np.sqrt(max(directed_sq(a, b), directed_sq(b, a))))

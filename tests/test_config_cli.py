@@ -206,6 +206,17 @@ class TestCliTrainEval:
         assert main(["eval", "--checkpoint", str(trained["final"])]) == 0
         assert capsys.readouterr().out == explicit
 
+    @pytest.mark.parametrize("verb", [["eval"], ["export-viz", "--attn"]])
+    def test_recovers_checkpoint_stranded_between_renames(self, trained, tmp_path,
+                                                          capsys, verb):
+        # A save stopped after retiring the old copy and before renaming the new one.
+        shutil.copytree(trained["final"], tmp_path / ".final.old")
+        ckpt = tmp_path / "final"
+        code = main(verb + ["--checkpoint", str(ckpt), "--out", str(tmp_path / "viz")])
+        assert code == 0, capsys.readouterr().err
+        assert (ckpt / "config.ini").is_file()
+        assert not (tmp_path / ".final.old").exists()
+
     def test_seed_flag_overrides_config(self, tmp_path, trained, capsys):
         out7 = tmp_path / "seed7"
         code = main(["train", "--config", str(trained["ini"]),

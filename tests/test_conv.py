@@ -134,6 +134,25 @@ class TestConvBackward:
         report = gradcheck(lambda: mul(spec(x), weights), wrt)
         assert report.max_rel_error < 1e-7
 
+    @pytest.mark.parametrize("variant,cin,cout", [("regular", 1, 4), ("regular", 3, 1),
+                                                  ("depthwise_separable", 3, 2)])
+    def test_gradcheck_inner_dim_1(self, rng, variant, cin, cout):
+        # Tap products with inner dimension 1 (one input channel, one output
+        # channel, depthwise) are broadcast multiplies rather than matmuls.
+        spec = ConvSpec(variant, cin, cout, 3, rng, precision="double")
+        spec.bias.data = rng.normal(size=cout)
+        x = dtensor(rng.normal(size=(2, cin, 5, 4)), grad=True)
+        weights = dtensor(rng.normal(size=(2, cout, 5, 4)))
+        wrt = [("input", x)] + [(n, t) for n, t in spec.parameters()]
+        report = gradcheck(lambda: mul(spec(x), weights), wrt)
+        assert report.max_rel_error < 1e-7
+        if variant == "regular":
+            want = naive_conv2d(x.numpy(), spec.weight.numpy(), spec.bias.numpy())
+        else:
+            mid = naive_conv2d(x.numpy(), spec.weight.numpy(), None, groups=cin)
+            want = naive_conv2d(mid, spec.point_weight.numpy(), spec.bias.numpy())
+        np.testing.assert_allclose(spec(x).numpy(), want, atol=1e-10)
+
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("variant,groups", VARIANTS)
     def test_input_grad_batch_bitwise_equals_per_item(self, rng, variant, groups, k):
@@ -185,6 +204,25 @@ class TestConvBackward:
         padded_input = 4 * 8 * 66 * 66 * 4
         assert held <= 1.1 * (padded_input + out.data.nbytes)
         assert x.grad is not None
+
+    def test_backward_peak_is_a_few_maps_not_patches(self, rng):
+        # Shifted-tap backward holds O(1) padded maps; patches would be 9x the input.
+        spec = ConvSpec("regular", 8, 8, 3, rng)
+        x = tensor(rng.normal(size=(4, 8, 64, 64)).astype(np.float32))
+        x.requires_grad = True
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = spec(x)
+                loss = sum_all(out)
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                tape.backward(loss)
+                peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        padded_input = 4 * 8 * (66 * 66 + 2) * 4
+        assert peak <= 4 * (padded_input + out.data.nbytes)
 
 
 class TestBilinear:

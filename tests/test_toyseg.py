@@ -1,5 +1,6 @@
 """Synthetic data, the segmentation net, metrics, loss, and the optimizer."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import wau.attention
+from conftest import exhaustive_hausdorff
 from wau import metering
 from wau.analysis import gradcheck
 from wau.tensor import ContractError, NumericsError, ShapeError, Tape, Tensor, tensor
@@ -19,6 +21,24 @@ from wau.toyseg.model import ToyNet
 from wau.toyseg.optim import Adam, lr_at
 
 masks8 = hnp.arrays(np.int64, (8, 8), elements=st.integers(0, 1))
+
+
+@st.composite
+def mask_pairs(draw):
+    """Two same-shape boolean masks: random (touching the border at will),
+    empty, full, or a single pixel."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+
+    def mask():
+        kind = draw(st.sampled_from(["random", "empty", "full", "single"]))
+        if kind == "random":
+            return draw(hnp.arrays(np.bool_, (h, w)))
+        m = np.full((h, w), kind == "full")
+        if kind == "single":
+            m[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = True
+        return m
+
+    return mask(), mask()
 
 
 class TestData:
@@ -226,6 +246,26 @@ class TestMetrics:
         one[5, 5] = 1
         assert hausdorff(z, z) == 0.0
         assert hausdorff(one, z) == pytest.approx(math.hypot(31, 31))
+
+    @given(pair=mask_pairs())
+    def test_hausdorff_equals_exhaustive_scan(self, pair):
+        pred, target = pair
+        assert hausdorff(pred, target) == exhaustive_hausdorff(pred, target)
+
+    def test_hausdorff_memory_bounded_at_256(self):
+        rng = np.random.default_rng(0)
+        yy, xx = np.mgrid[:256, :256]
+        pred = (yy - 100) ** 2 + (xx - 90) ** 2 < 60 ** 2
+        target = ((yy - 140) ** 2 + (xx - 150) ** 2 < 70 ** 2) | (rng.random((256, 256)) < 0.02)
+        full_scan = 16 * int(pred.sum()) * int(target.sum())
+        tracemalloc.start()
+        try:
+            hausdorff(pred, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
+        assert full_scan > 100 * peak
 
     def test_mean_metrics_average_over_classes(self):
         pred = np.zeros((4, 4), dtype=np.int64)
