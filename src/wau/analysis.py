@@ -106,8 +106,6 @@ class CostReport:
     measured_flops: int
     analytic_mem_elems: int
     measured_peak_elems: int
-    measured_total_macs: int = 0
-    macs_by_tag: dict | None = None
 
     CSV_HEADER = "kind,h2,w2,c,k,n,m2,analytic_flops,measured_flops,analytic_mem_elems,measured_peak_elems"
 
@@ -166,9 +164,7 @@ def measure(kind: str, h2: int, w2: int, c: int, k: int, n: int,
     report = CostReport(kind=kind, h2=h2, w2=w2, c=c, k=k, n=n, m2=m2,
                         analytic_flops=analytic, measured_flops=measured,
                         analytic_mem_elems=analytic_mem,
-                        measured_peak_elems=meter.peak_elems,
-                        measured_total_macs=meter.total_macs,
-                        macs_by_tag=dict(meter.macs))
+                        measured_peak_elems=meter.peak_elems)
     if measured != analytic:
         raise AnalysisError(
             f"measured flops {measured} != analytic {analytic} for {kind} "

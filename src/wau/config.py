@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .conv import CONV_VARIANTS
 from .stage import UPSAMPLERS
+from .tensor import PRECISIONS
 
 
 class ConfigError(ValueError):
@@ -84,8 +87,8 @@ _SECTIONS = {"model": ModelConfig, "data": DataConfig,
 
 _CHOICES = {
     ("model", "upsampler"): UPSAMPLERS,
-    ("model", "proj_conv"): ("regular", "grouped", "depthwise_separable"),
-    ("train", "precision"): ("single", "double"),
+    ("model", "proj_conv"): CONV_VARIANTS,
+    ("train", "precision"): tuple(PRECISIONS),
     ("analysis", "op"): ("ad", "wad"),
 }
 
@@ -138,6 +141,12 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
+    for section in _SECTIONS:
+        part = getattr(cfg, section)
+        for f in dataclasses.fields(part):
+            v = getattr(part, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"[{section}] {f.name} must be finite, got {v}")
     m, d, t, a = cfg.model, cfg.data, cfg.train, cfg.analysis
     positive = {
         "[model] depth": m.depth, "[model] base_channels": m.base_channels,

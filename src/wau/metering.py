@@ -1,8 +1,8 @@
 """Instrumentation of the forward pass: cost counters and a value recorder.
 
 A single CostMeter can be activated at a time (measurement sessions are
-single-threaded and sequential). While active, the conv kernels report
-their exact multiply-accumulate counts under the innermost tag, and the
+single-threaded and sequential). While active, the conv layers report
+their exact logical multiply-accumulate counts under the innermost tag, and the
 `window_attention` op reports its two products under "attn_scores" and
 "attn_apply". The attention forward also reports the element counts of its
 q/k/v and weight buffers so the peak simultaneous footprint can be read off
@@ -32,10 +32,6 @@ class CostMeter:
 
     def macs_for(self, tags) -> int:
         return sum(self.macs.get(t, 0) for t in tags)
-
-    @property
-    def total_macs(self) -> int:
-        return sum(self.macs.values())
 
     @contextmanager
     def active(self):

@@ -52,22 +52,14 @@ def make_sample(index: int, h: int, w: int, classes: int, seed: int,
 
 
 def gen_dataset(count: int, h: int, w: int, classes: int, seed: int,
-                noise_sigma: float = 0.1, start_index: int = 0,
-                divisor: int = 1) -> list[SynthSample]:
-    """Generate `count` samples deterministic in (seed, start_index + i).
-
-    `divisor` lets callers assert up front that the geometry fits their
-    model (spatial dims must be divisible by it).
-    """
+                noise_sigma: float = 0.1, start_index: int = 0) -> list[SynthSample]:
+    """Generate `count` samples deterministic in (seed, start_index + i)."""
     if count < 0:
         raise ContractError(f"count must be >= 0, got {count}")
     if classes < 1:
         raise ContractError(f"classes must be >= 1, got {classes}")
     if h < 4 or w < 4:
         raise ContractError(f"images must be at least 4x4, got {h}x{w}")
-    if divisor < 1 or h % divisor or w % divisor:
-        raise ContractError(
-            f"spatial dims {h}x{w} must be divisible by {divisor}")
     return [make_sample(start_index + i, h, w, classes, seed, noise_sigma)
             for i in range(count)]
 

@@ -28,7 +28,7 @@ def dice_score(pred: np.ndarray, target: np.ndarray, label: int) -> float:
 
 def mean_dice(pred: np.ndarray, target: np.ndarray, classes: int) -> float:
     """Mean Dice over foreground labels 1..classes."""
-    return float(np.mean([dice_score(pred, target, c) for c in range(1, classes + 1)]))
+    return sum(dice_score(pred, target, c) for c in range(1, classes + 1)) / classes
 
 
 BLOCK_PAIRS = 1 << 16
@@ -71,5 +71,4 @@ def hausdorff(pred: np.ndarray, target: np.ndarray) -> float:
 
 def mean_hausdorff(pred: np.ndarray, target: np.ndarray, classes: int) -> float:
     """Mean per-class Hausdorff over foreground labels 1..classes."""
-    return float(np.mean([hausdorff(pred == c, target == c)
-                          for c in range(1, classes + 1)]))
+    return sum(hausdorff(pred == c, target == c) for c in range(1, classes + 1)) / classes

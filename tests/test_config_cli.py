@@ -256,6 +256,22 @@ class TestCliTrainEval:
         assert code == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("data", "noise_sigma", "nan"), ("train", "lr", "inf"),
+        ("analysis", "step", "nan"), ("analysis", "threshold", "inf"),
+    ])
+    def test_train_rejects_non_finite_float_before_compute(self, tmp_path, capsys,
+                                                           section, key, value):
+        text = TINY_INI.replace("lr = 0.001\n", "") + "\n[analysis]\n"
+        ini = tmp_path / "nonfinite.ini"
+        ini.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(ini), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: [{section}] {key}")
+        assert not out.exists()
+
     def test_resume_from_truncated_state_is_config_error(self, tmp_path, trained,
                                                          capsys):
         ckpt = tmp_path / "ckpt"

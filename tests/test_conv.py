@@ -7,10 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import naive_bilinear, naive_conv2d, naive_transposed
+from wau import metering
 from wau.analysis import gradcheck
 from wau.conv import (ConvSpec, TransposedConv, bilinear_upsample, conv2d,
                       maxpool2, transposed_conv_upsample)
-from wau.tensor import ContractError, ShapeError, Tape, mul, sum_all, tensor
+from wau.tensor import (ContractError, NumericsError, ShapeError, Tape, mul, sum_all,
+                        tensor)
 
 
 def dtensor(arr, grad=False):
@@ -313,6 +315,66 @@ class TestTransposed:
         wrt = [("input", x)] + [(n, t) for n, t in tc.parameters()]
         report = gradcheck(lambda: transposed_conv_upsample(x, tc), wrt)
         assert report.max_rel_error < 1e-7
+
+    @pytest.mark.parametrize("factor,k", [(2, 4), (2, 2), (3, 6), (3, 3)])
+    def test_gradcheck_weighted(self, rng, factor, k):
+        # k = n gives 1x1 phase convolutions; at (3, 6) the phases read input
+        # offsets {0, -1} or {1, 0}, an asymmetric 3x3 phase kernel.
+        tc = TransposedConv(2, 3, factor, rng, kernel=k, precision="double")
+        tc.bias.data = rng.normal(size=3)
+        x = dtensor(rng.normal(size=(2, 2, 3, 2)), grad=True)
+        weights = dtensor(rng.normal(size=(2, 3, 3 * factor, 2 * factor)))
+        wrt = [("input", x)] + [(n, t) for n, t in tc.parameters()]
+        report = gradcheck(lambda: mul(transposed_conv_upsample(x, tc), weights), wrt)
+        assert report.max_rel_error < 1e-7
+
+    def test_batch_bitwise_equals_per_item(self, rng):
+        tc = TransposedConv(4, 3, 2, rng)
+        tc.bias.data = rng.normal(size=3).astype(np.float32)
+        x_arr = rng.normal(size=(3, 4, 5, 6)).astype(np.float32)
+        batched = transposed_conv_upsample(tensor(x_arr), tc).numpy()
+        for i in range(3):
+            single = transposed_conv_upsample(tensor(x_arr[i:i + 1]), tc).numpy()
+            np.testing.assert_array_equal(batched[i:i + 1], single)
+
+    def test_overflow_names_the_op(self, rng):
+        tc = TransposedConv(2, 2, 2, rng)
+        tc.weight.data[:] = 1.0
+        x = tensor(np.full((1, 2, 3, 3), 3e38, dtype=np.float32))
+        with np.errstate(over="ignore"), pytest.raises(NumericsError,
+                                                      match="transposed_conv_upsample"):
+            transposed_conv_upsample(x, tc)
+
+
+class TestMacCounts:
+    """Each layer reports its logical multiply-adds, whatever its kernel runs."""
+
+    @staticmethod
+    def counted(fn) -> dict:
+        meter = metering.CostMeter()
+        with meter.active():
+            fn()
+        return meter.macs
+
+    @pytest.mark.parametrize("variant,groups", [("regular", 1), ("grouped", 2),
+                                                ("depthwise_separable", 1)])
+    def test_conv_variants(self, rng, variant, groups):
+        N, C, C_out, H, W, k = 2, 4, 6, 5, 7, 3
+        spec = ConvSpec(variant, C, C_out, k, rng, groups=groups)
+        x = tensor(rng.normal(size=(N, C, H, W)).astype(np.float32))
+        want = {"regular": N * H * W * C * k * k * C_out,
+                "grouped": N * H * W * (C // 2) * k * k * C_out,
+                "depthwise_separable": N * H * W * C * k * k + N * H * W * C * C_out}
+        assert self.counted(lambda: spec(x)) == {"other": want[variant]}
+
+    @pytest.mark.parametrize("factor,k", [(2, 4), (2, 2), (3, 6)])
+    def test_transposed(self, rng, factor, k):
+        N, C, C_out, H, W = 2, 4, 3, 5, 6
+        tc = TransposedConv(C, C_out, factor, rng, kernel=k)
+        x = tensor(rng.normal(size=(N, C, H, W)).astype(np.float32))
+        with metering.tagged("up"):
+            macs = self.counted(lambda: tc(x))
+        assert macs == {"up": N * H * W * C * C_out * k * k}
 
 
 class TestMaxpool:

@@ -276,6 +276,16 @@ class TestMetrics:
         assert mean_dice(pred, gt, 2) == pytest.approx(0.5)
         assert mean_hausdorff(pred, gt, 2) > 0
 
+    def test_mean_metrics_equal_np_mean_at_3_classes(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            pred = rng.integers(0, 4, size=(12, 12))
+            gt = rng.integers(0, 4, size=(12, 12))
+            assert mean_dice(pred, gt, 3) == np.mean(
+                [dice_score(pred, gt, c) for c in (1, 2, 3)])
+            assert mean_hausdorff(pred, gt, 3) == np.mean(
+                [hausdorff(pred == c, gt == c) for c in (1, 2, 3)])
+
 
 class TestLoss:
     def test_uniform_logits_binary_ce_is_ln2(self):
