@@ -3,11 +3,25 @@ bilinear and transposed-convolution upsamplers and 2x2 max pooling.
 
 All convolutions are stride 1 with zero "same" padding and odd kernels, so
 spatial dimensions are preserved. Every variant runs on one shifted-tap
-kernel: tap (di, dj) of a row-padded flat input is a contiguous slice, and
-the output accumulates k*k stacked GEMMs on the padded-width grid, with no
-patch matrix. One GEMM per batch item and group keeps results bitwise
-independent of batching. The transposed upsampler runs on the same kernel,
-as n*n phase convolutions followed by a pixel shuffle.
+kernel, `_correlate`. The input's zero-padded rows are laid end to end, so
+tap (di, dj) is a contiguous slice at offset di*Wp + dj (Wp the padded
+width), and the output is k*k stacked GEMMs on the padded-width grid, with
+no patch matrix.
+
+The kernel walks that grid in blocks of whole output rows, of at most
+_BLOCK_COLS = 4096 columns unless one row is wider (Goto & van de Geijn,
+ACM TOMS 2008), so a block's tap products and running sum stay in L2 cache.
+Each sum is cropped to the W valid columns, plus bias, straight into the
+output. numpy issues one BLAS call per batch item and group, and the split
+depends on the map alone, never on the batch size N, so a batch item gets
+exactly the calls it gets on its own and results are bitwise independent of
+batching. (A split that moved with N would break this: a matrix-vector
+product, one output channel per group, can round a column differently by
+its place in the call.) The input gradient is the same kernel run on the
+zero-padded upstream gradient, with transposed taps at mirrored offsets; the
+weight gradient walks the same blocks; an input that needs no gradient (the
+image) gets none. The transposed upsampler runs on the same kernel, as n*n
+phase convolutions followed by a pixel shuffle.
 
 The kernel counts no multiply-adds itself (the phase form runs zero taps);
 each layer reports its logical count.
@@ -80,6 +94,32 @@ class ConvSpec:
         return conv2d(x, self)
 
 
+# Padded-width columns per block at most: a block's tap product and running
+# sum (float32, batch 4, 8 channels: 512 KiB each) stay in L2. Not scaled by
+# N, which would break bitwise batch invariance (see the module docstring).
+_BLOCK_COLS = 4096
+
+
+def _block_rows(H: int, Wp: int) -> int:
+    """Output rows per block: H rows of Wp padded-width columns split evenly
+    into as few blocks as keep each within _BLOCK_COLS (one row at least)."""
+    n_blocks = -(-H * Wp // _BLOCK_COLS)
+    return -(-H // n_blocks)
+
+
+def _pad_flat(a: np.ndarray, groups: int, p: int) -> np.ndarray:
+    """(N, C, H, W) as (N, G, C/G, (H+2p)(W+2p) + 2p): zero-padded rows laid end
+    to end, plus 2p zeros so the last tap's slice stays in bounds. At p = 0 it
+    is a reshape of `a`."""
+    N, C, H, W = a.shape
+    if p == 0:
+        return a.reshape(N, groups, C // groups, H * W)
+    Hp, Wp = H + 2 * p, W + 2 * p
+    flat = np.zeros((N, groups, C // groups, Hp * Wp + 2 * p), dtype=a.dtype)
+    flat[..., :Hp * Wp].reshape(N, C, Hp, Wp)[:, :, p:p + H, p:p + W] = a
+    return flat
+
+
 def _tap_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One tap's stacked product a @ b into `out`. At inner dimension 1 it is a
     broadcast multiply: the same products, without matmul's slow path there."""
@@ -88,53 +128,77 @@ def _tap_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.matmul(a, b, out=out)
 
 
+def _correlate(src: np.ndarray, taps: np.ndarray, offsets: list[int], out: np.ndarray,
+               Wp: int, bias) -> None:
+    """out[n, (g, o), i, j] = bias + sum_t (taps[t, g] @ src[n, g, :, offsets[t] + i*Wp + j])[o].
+
+    Walks the output rows in blocks of _block_rows: each block's k*k tap
+    products go to one block-sized temporary and add, in tap order, into a
+    block-sized sum, which is cropped to the W valid columns, plus `bias`, into
+    `out` (N, C, H, W). `bias=None` copies the sum as it is.
+    """
+    N, C, H, W = out.shape
+    G, c = taps.shape[1:3]
+    rows = _block_rows(H, Wp)
+    full = np.empty((N, G, c, min(rows, H) * Wp), dtype=out.dtype)
+    full_tmp = np.empty_like(full)
+    for r0 in range(0, H, rows):
+        r1 = min(r0 + rows, H)
+        c0, c1 = r0 * Wp, r1 * Wp
+        acc, tmp = full, full_tmp
+        if c1 - c0 < full.shape[-1]:
+            # contiguous views of the last block: matmul cannot write a strided `out` with BLAS
+            acc = full.reshape(-1)[:N * C * (c1 - c0)].reshape(N, G, c, c1 - c0)
+            tmp = full_tmp.reshape(-1)[:acc.size].reshape(acc.shape)
+        _tap_product(taps[0], src[..., offsets[0] + c0:offsets[0] + c1], acc)
+        for t in range(1, len(offsets)):
+            acc += _tap_product(taps[t], src[..., offsets[t] + c0:offsets[t] + c1], tmp)
+        block = acc.reshape(N, C, r1 - r0, Wp)[..., :W]
+        if bias is None:
+            out[:, :, r0:r1] = block
+        else:
+            np.add(block, bias, out=out[:, :, r0:r1])
+
+
 def _grouped_conv(x: Tensor, weight: Tensor, bias: Tensor | None, groups: int,
                   op_name: str) -> Tensor:
     xd = x.data
     N, C, H, W = xd.shape
     C_out, ci_g, k, _ = weight.shape
     G, co_g, p = groups, C_out // groups, k // 2
-    Hp, Wp = H + 2 * p, W + 2 * p
-    L = H * Wp
+    Wp = W + 2 * p
     offsets = [di * Wp + dj for di in range(k) for dj in range(k)]
     # (k*k, G, co_g, ci_g): contiguous, so every tap product is a BLAS call
     taps = np.ascontiguousarray(
         weight.data.reshape(G, co_g, ci_g, k * k).transpose(3, 0, 1, 2))
-    if k == 1:
-        xf = xd.reshape(N, G, ci_g, L)
-    else:
-        xf = np.zeros((N, G, ci_g, Hp * Wp + 2 * p), dtype=xd.dtype)
-        xf[..., :Hp * Wp].reshape(N, C, Hp, Wp)[:, :, p:p + H, p:p + W] = xd
-
-    def tap(t: int) -> np.ndarray:
-        return xf[..., offsets[t]:offsets[t] + L]
-
-    wide = _tap_product(taps[0], tap(0), np.empty((N, G, co_g, L), dtype=xd.dtype))
-    tmp = np.empty_like(wide)
-    for t in range(1, k * k):
-        wide += _tap_product(taps[t], tap(t), tmp)
-    del tmp
-    out_data = wide.reshape(N, C_out, H, Wp)[..., :W]
-    out_data = (np.ascontiguousarray(out_data) if bias is None
-                else out_data + bias.data.reshape(1, C_out, 1, 1))
+    xf = _pad_flat(xd, G, p)
+    out_data = np.empty((N, C_out, H, W), dtype=xd.dtype)
+    _correlate(xf, taps, offsets, out_data, Wp,
+               None if bias is None else bias.data.reshape(1, C_out, 1, 1))
     _check_finite(out_data, op_name)
     out = Tensor(out_data)
 
     def fn(grad, acc):
-        if k == 1:
-            g_wide = grad.reshape(N, G, co_g, L)
-        else:
-            g_wide = np.zeros((N, G, co_g, L), dtype=xd.dtype)
-            g_wide.reshape(N, C_out, H, Wp)[..., :W] = grad
-        gxf = np.zeros_like(xf)
-        gw = np.empty_like(taps)
-        tmp = np.empty((N, G, ci_g, L), dtype=xd.dtype)
-        for t, off in enumerate(offsets):
-            gxf[..., off:off + L] += _tap_product(taps[t].transpose(0, 2, 1), g_wide, tmp)
-            gw[t] = np.matmul(g_wide, tap(t).transpose(0, 1, 3, 2)).sum(axis=0)
-        gx = gxf[..., :Hp * Wp].reshape(N, C, Hp, Wp)[:, :, p:p + H, p:p + W]
-        acc.add(x, gx)
-        acc.add(weight, gw.transpose(1, 2, 3, 0).reshape(C_out, ci_g, k, k))
+        # The upstream gradient padded like xf: output column i*Wp + j of the
+        # forward's grid sits at p*Wp + p + i*Wp + j.
+        gf = _pad_flat(grad, G, p)
+        if x.requires_grad:
+            # The adjoint correlates gf with the transposed taps at mirrored
+            # offsets, in the same tap order. Adding +0.0 turns the -0 that
+            # negative taps times a zero gradient can sum to into +0.0.
+            gx = np.empty_like(xd)
+            _correlate(gf, taps.transpose(0, 1, 3, 2), [offsets[-1] - off for off in offsets],
+                       gx, Wp, 0.0)
+            acc.add(x, gx)
+        g_wide = gf[..., p * Wp + p:]
+        gw = np.zeros((k * k, N, G, co_g, ci_g), dtype=xd.dtype)
+        rows = _block_rows(H, Wp)
+        for r0 in range(0, H, rows):
+            c0, c1 = r0 * Wp, min(r0 + rows, H) * Wp
+            g_blk = g_wide[..., c0:c1]
+            for t, off in enumerate(offsets):
+                gw[t] += np.matmul(g_blk, xf[..., off + c0:off + c1].swapaxes(-1, -2))
+        acc.add(weight, gw.sum(axis=1).transpose(1, 2, 3, 0).reshape(C_out, ci_g, k, k))
         if bias is not None:
             acc.add(bias, grad.sum(axis=(0, 2, 3), dtype=xd.dtype))
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import naive_bilinear, naive_conv2d, naive_transposed
 from wau import metering
 from wau.analysis import gradcheck
-from wau.conv import (ConvSpec, TransposedConv, bilinear_upsample, conv2d,
+from wau.conv import (ConvSpec, TransposedConv, _block_rows, bilinear_upsample, conv2d,
                       maxpool2, transposed_conv_upsample)
 from wau.tensor import (ContractError, NumericsError, ShapeError, Tape, mul, sum_all,
                         tensor)
@@ -77,6 +77,36 @@ class TestConvForward:
         for i in range(3):
             single = spec(tensor(x_arr[i:i + 1])).numpy()
             np.testing.assert_array_equal(batched[i:i + 1], single)
+
+    @pytest.mark.parametrize("variant,centre_only,op", [
+        ("regular", False, "conv2d"),
+        ("depthwise_separable", False, "depthwise_conv"),
+        # a centre-tap depthwise passes 3e38 through; the pointwise sum overflows
+        ("depthwise_separable", True, "pointwise_conv")])
+    def test_overflow_names_the_op(self, rng, variant, centre_only, op):
+        spec = ConvSpec(variant, 2, 2, 3, rng)
+        spec.weight.data[:] = 0.0 if centre_only else 1.0
+        spec.weight.data[..., 1, 1] = 1.0
+        if spec.point_weight is not None:
+            spec.point_weight.data[:] = 1.0
+        x = tensor(np.full((1, 2, 3, 3), 3e38, dtype=np.float32))
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match=op):
+            spec(x)
+
+    def test_one_channel_forward_holds_no_output_sized_temporary(self, rng):
+        # The tap products and their running sum live in row blocks; a
+        # padded-width sum or tap product of the whole map would not fit here.
+        spec = ConvSpec("regular", 1, 8, 3, rng)
+        x = tensor(rng.normal(size=(4, 1, 128, 128)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = spec(x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        padded_input = 4 * 1 * (130 * 130 + 2) * 4
+        assert peak - padded_input - out.data.nbytes < out.data.nbytes // 2
 
     def test_even_kernel_rejected(self, rng):
         with pytest.raises(ContractError):
@@ -165,6 +195,64 @@ class TestConvBackward:
         for i in range(3):
             single, _ = self.weighted_grads(spec, x_arr[i:i + 1], weights[i:i + 1], "single")
             np.testing.assert_array_equal(batched[i:i + 1], single)
+
+    @pytest.mark.parametrize("hw", [(6, 7), (127, 100)])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("variant,groups", VARIANTS + [("grouped", 4)])
+    def test_batch_bitwise_equals_per_item_in_row_blocks(self, rng, variant, groups, k, hw):
+        # 127 x 100 spans several row blocks and ends in a shorter one.
+        # groups = C_out leaves one output channel per group: a matrix-vector
+        # product, whose rounding can depend on a column's place in the call,
+        # so only blocks that do not depend on N keep it bitwise.
+        H, W = hw
+        if H > 100:
+            rows = _block_rows(H, W + k - 1)
+            assert rows < H and H % rows
+        spec = ConvSpec(variant, 16, 4, k, rng, groups=groups)
+        x_arr = rng.normal(size=(3, 16, H, W)).astype(np.float32)
+        weights = rng.normal(size=(3, 4, H, W)).astype(np.float32)
+        batched_out = spec(tensor(x_arr)).numpy()
+        batched, _ = self.weighted_grads(spec, x_arr, weights, "single")
+        for i in range(3):
+            one = slice(i, i + 1)
+            np.testing.assert_array_equal(batched_out[one], spec(tensor(x_arr[one])).numpy())
+            single, _ = self.weighted_grads(spec, x_arr[one], weights[one], "single")
+            np.testing.assert_array_equal(batched[one], single)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("variant,groups", VARIANTS)
+    def test_backward_is_the_adjoint_across_row_blocks(self, rng, variant, groups, k):
+        # Without bias the output is linear in x and in each weight, so
+        # <out, g> = <x, dx> = <w, dw>; 70 x 70 spans two row blocks.
+        assert _block_rows(70, 70 + k - 1) < 70
+        spec = ConvSpec(variant, 4, 6, k, rng, groups=groups, precision="double")
+        x = dtensor(rng.normal(size=(2, 4, 70, 70)), grad=True)
+        g = rng.normal(size=(2, 6, 70, 70))
+        with Tape() as tape:
+            out = spec(x)
+            tape.backward(sum_all(mul(out, dtensor(g))))
+        lhs = float((out.data * g).sum())
+        for t in [x] + [t for n, t in spec.parameters() if n != "bias"]:
+            assert abs(lhs - float((t.data * t.grad).sum())) <= 1e-10 * abs(lhs)
+
+    @pytest.mark.parametrize("variant,groups", VARIANTS)
+    def test_input_without_grad_skips_its_gradient(self, rng, variant, groups):
+        spec = ConvSpec(variant, 4, 6, 3, rng, groups=groups)
+        spec.bias.data = rng.normal(size=6).astype(np.float32)
+        x_arr = rng.normal(size=(2, 4, 9, 7)).astype(np.float32)
+        weights = tensor(rng.normal(size=(2, 6, 9, 7)).astype(np.float32))
+        grads = []
+        for needs_grad in (True, False):
+            x = tensor(x_arr)
+            x.requires_grad = needs_grad
+            with Tape() as tape:
+                tape.backward(sum_all(mul(spec(x), weights)))
+                grads.append((x.grad, {n: t.grad.copy() for n, t in spec.parameters()}))
+                tape.reset()
+        (gx_with, params_with), (gx_without, params_without) = grads
+        assert gx_with is not None and gx_without is None
+        for name, g in params_with.items():
+            np.testing.assert_array_equal(params_without[name], g)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("variant,groups", VARIANTS)
