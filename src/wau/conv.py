@@ -25,8 +25,15 @@ phase convolutions followed by a pixel shuffle.
 
 The kernel counts no multiply-adds itself (the phase form runs zero taps);
 each layer reports its logical count.
+
+Max pooling keeps no argmax array. Its forward pass is the max of each column
+pair, then of each row pair; its backward rebuilds the routing mask from the
+saved input and output, sending each window's gradient to the first slot, in
+row-major order, that equals the maximum.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -230,8 +237,10 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
 # Upsampling
 # ---------------------------------------------------------------------------
 
-def _axis_matrix(in_size: int, factor: int, dtype) -> np.ndarray:
-    """(in_size*factor, in_size) half-pixel-aligned two-tap weights of one axis."""
+@functools.lru_cache(maxsize=32)
+def _axis_matrix(in_size: int, factor: int, dtype: np.dtype) -> np.ndarray:
+    """(in_size*factor, in_size) half-pixel-aligned two-tap weights of one axis.
+    Cached per (in_size, factor, dtype), so the array is read-only."""
     src = (np.arange(in_size * factor, dtype=np.float64) + 0.5) / factor - 0.5
     src = np.clip(src, 0.0, in_size - 1)
     i0 = np.floor(src).astype(np.int64)
@@ -240,6 +249,7 @@ def _axis_matrix(in_size: int, factor: int, dtype) -> np.ndarray:
     u = np.zeros((src.size, in_size), dtype=dtype)
     u[rows, i0] = 1.0 - frac
     u[rows, np.minimum(i0 + 1, in_size - 1)] += frac
+    u.flags.writeable = False
     return u
 
 
@@ -359,29 +369,35 @@ def transposed_conv_upsample(x: Tensor, layer: TransposedConv) -> Tensor:
 
 
 def maxpool2(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; ties resolve to the first position."""
+    """2x2 max pooling with stride 2; ties route the gradient to the first slot.
+
+    Forward is the max of each column pair, then of each row pair: for window
+    slots p = 2*di + dj that is max(max(s0, s1), max(s2, s3)). No argmax is
+    kept. Backward rebuilds the routing from the saved input and output: each
+    window's gradient goes to the first slot, in p order, equal to the maximum.
+    """
     if x.ndim != 4:
         raise ShapeError(f"maxpool2 expects (N, C, H, W), got {x.shape}")
     N, C, H, W = x.shape
     if H % 2 or W % 2:
         raise ShapeError(f"maxpool2 needs even spatial dims, got {H}x{W}")
     xd = x.data
-    # window slot p = 2*di + dj
-    slots = [xd[:, :, di::2, dj::2] for di in (0, 1) for dj in (0, 1)]
-    out_data = np.maximum(np.maximum(slots[0], slots[1]), np.maximum(slots[2], slots[3]))
+    cols = np.maximum(xd[..., 0::2], xd[..., 1::2])
+    out_data = np.maximum(cols[:, :, 0::2], cols[:, :, 1::2])
     _check_finite(out_data, "maxpool2")
-    # first slot holding the maximum: later slots are overwritten by earlier ones
-    arg = np.full(out_data.shape, 3, dtype=np.uint8)
-    for p in (2, 1, 0):
-        np.copyto(arg, p, where=slots[p] == out_data)
     out = Tensor(out_data)
 
     def fn(g, acc):
+        # slot p = 2*di + dj wins where it holds the max and no earlier slot
+        # does (on bools, a > b is a and not b); slot 3 wins where none of 0-2 does
+        hit = [xd[:, :, di::2, dj::2] == out_data for di, dj in ((0, 0), (0, 1), (1, 0))]
+        top = hit[0] | hit[1]
+        first = (hit[0], hit[1] > hit[0], hit[2] > top, ~(top | hit[2]))
         # a product, not a masked copy, keeps -0.0 where g < 0
         gx = np.empty_like(xd)
-        for p in range(4):
+        for p, mask in enumerate(first):
             di, dj = divmod(p, 2)
-            np.multiply(arg == p, g, out=gx[:, :, di::2, dj::2])
+            np.multiply(mask, g, out=gx[:, :, di::2, dj::2])
         acc.add(x, gx)
 
     record("maxpool2", (x,), out, fn)

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from conftest import naive_bilinear, naive_conv2d, naive_transposed
 from wau import metering
 from wau.analysis import gradcheck
-from wau.conv import (ConvSpec, TransposedConv, _block_rows, bilinear_upsample, conv2d,
-                      maxpool2, transposed_conv_upsample)
-from wau.tensor import (ContractError, NumericsError, ShapeError, Tape, mul, sum_all,
-                        tensor)
+from wau.conv import (ConvSpec, TransposedConv, _axis_matrix, _block_rows, bilinear_upsample,
+                      conv2d, maxpool2, transposed_conv_upsample)
+from wau.tensor import (ContractError, NumericsError, ShapeError, Tape, Tensor, mul,
+                        sum_all, tensor)
 
 
 def dtensor(arr, grad=False):
@@ -337,6 +337,14 @@ class TestBilinear:
         report = gradcheck(lambda: bilinear_upsample(x, 2), [("input", x)])
         assert report.max_rel_error < 1e-7
 
+    def test_axis_matrix_is_cached_read_only(self):
+        u = _axis_matrix(5, 2, np.dtype(np.float32))
+        assert _axis_matrix(5, 2, np.dtype(np.float32)) is u
+        assert _axis_matrix(5, 2, np.dtype(np.float64)) is not u
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 7.0
+        np.testing.assert_array_equal(u.sum(axis=1), 1.0)
+
     @pytest.mark.parametrize("factor,h,w", [(2, 3, 3), (2, 3, 5), (3, 4, 2), (4, 2, 3)])
     def test_gradcheck_weighted(self, rng, factor, h, w):
         x = dtensor(rng.normal(size=(1, 2, h, w)), grad=True)
@@ -490,3 +498,95 @@ class TestMaxpool:
         x = dtensor(rng.permuted(base, axis=None).reshape(1, 2, 4, 4), grad=True)
         report = gradcheck(lambda: maxpool2(x), [("input", x)], step=1e-6)
         assert report.max_rel_error < 1e-6
+
+    # Every way a 2x2 window can tie for its maximum: each non-empty subset of
+    # the four slots holds it, as 1.5 or as every sign pattern of a zero max.
+    @staticmethod
+    def tie_windows() -> list[np.ndarray]:
+        windows = []
+        for subset in range(1, 16):
+            slots = [p for p in range(4) if subset >> p & 1]
+            for signs in [None] + list(range(1 << len(slots))):
+                win = np.full(4, -2.0, dtype=np.float32)
+                for i, p in enumerate(slots):
+                    win[p] = 1.5 if signs is None else (-0.0 if signs >> i & 1 else 0.0)
+                windows.append(win.reshape(2, 2))
+        return windows
+
+    GRAD_VALUES = (0.75, -1.25, 0.0, -0.0)
+
+    @staticmethod
+    def reference(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-window loops. np.maximum returns its second operand on a tie,
+        which decides the sign of a zero max; the gradient goes to the first
+        slot in row-major order equal to the max, as g * 1.0, else g * 0.0."""
+        def pmax(a, b):
+            return a if a > b else b
+        N, C, H, W = x.shape
+        out = np.empty((N, C, H // 2, W // 2), dtype=x.dtype)
+        gx = np.empty_like(x)
+        for n, c, i, j in np.ndindex(out.shape):
+            s = [x[n, c, 2 * i + di, 2 * j + dj] for di in (0, 1) for dj in (0, 1)]
+            out[n, c, i, j] = m = pmax(pmax(s[0], s[1]), pmax(s[2], s[3]))
+            first = next(p for p in range(4) if s[p] == m)
+            for p in range(4):
+                gx[n, c, 2 * i + p // 2, 2 * j + p % 2] = g[n, c, i, j] * float(p == first)
+        return out, gx
+
+    @staticmethod
+    def pool(x_arr, g_arr):
+        x = tensor(x_arr)
+        x.requires_grad = True
+        with Tape() as tape:
+            out = maxpool2(x)
+            tape.backward(sum_all(mul(out, tensor(g_arr))))
+        return out.numpy(), x.grad
+
+    def assert_bitwise(self, got, want):
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
+
+    def test_every_tie_pattern_in_one_window(self):
+        for win in self.tie_windows():
+            for gv in self.GRAD_VALUES:
+                x_arr = win.reshape(1, 1, 2, 2).copy()
+                g_arr = np.full((1, 1, 1, 1), gv, dtype=np.float32)
+                self.assert_bitwise(self.pool(x_arr, g_arr), self.reference(x_arr, g_arr))
+
+    def test_every_tie_pattern_tiled_into_a_batch(self):
+        shape = (2, 3, 8, 10)
+        per_batch = 2 * 3 * 4 * 5
+        cases = [(w, gv) for w in self.tie_windows() for gv in self.GRAD_VALUES]
+        for start in range(0, len(cases), per_batch):
+            batch = [cases[(start + i) % len(cases)] for i in range(per_batch)]
+            x_arr = (np.stack([w for w, _ in batch]).reshape(2, 3, 4, 5, 2, 2)
+                     .transpose(0, 1, 2, 4, 3, 5).reshape(shape))
+            g_arr = np.array([gv for _, gv in batch], dtype=np.float32).reshape(2, 3, 4, 5)
+            got = self.pool(x_arr, g_arr)
+            self.assert_bitwise(got, self.reference(x_arr, g_arr))
+            for n in range(shape[0]):
+                item = self.pool(x_arr[n:n + 1], g_arr[n:n + 1])
+                self.assert_bitwise(item, (got[0][n:n + 1], got[1][n:n + 1]))
+
+    def test_taped_call_keeps_no_routing_array(self, rng):
+        # The closure holds the input and output it already has; the routing
+        # mask is rebuilt in backward (a uint8 argmax would be 0.25x the output).
+        x = tensor(rng.normal(size=(4, 8, 128, 128)).astype(np.float32))
+        x.requires_grad = True
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                out = maxpool2(x)
+                held = tracemalloc.get_traced_memory()[0] - before
+                tape.backward(sum_all(out))
+        finally:
+            tracemalloc.stop()
+        assert held - out.data.nbytes < 0.1 * out.data.nbytes
+        assert x.grad is not None
+
+    def test_nan_input_names_the_op(self):
+        x_arr = np.zeros((1, 2, 4, 4), dtype=np.float32)
+        x_arr[0, 1, 2, 3] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="maxpool2"):
+            maxpool2(Tensor(x_arr))
