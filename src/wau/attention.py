@@ -11,13 +11,14 @@ encoding is added and windows are never shifted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import metering
 from .conv import ConvSpec
-from .tensor import (ContractError, ShapeError, Tensor, layer_norm, permute, reshape,
-                     tensor, window_attention, zeros)
+from .tensor import (ContractError, ShapeError, Tensor, layer_norm, reshape, tensor,
+                     window_attention, zeros)
 from .windows import WindowGrid, merge, paired_partition, partition
 
 
@@ -147,7 +148,7 @@ class AttentionDecoder:
         return q, k, v
 
     def _context_windows(self, lateral: Tensor, source: Tensor
-                         ) -> tuple[Tensor, WindowGrid, np.ndarray]:
+                         ) -> tuple[Tensor, WindowGrid, Callable[[], np.ndarray]]:
         q, k, v = self.project_qkv(lateral, source)
         qgrid, kgrid = paired_partition(q, k, self.cfg.window, self.cfg.ratio)
         vgrid = partition(v, self.cfg.window)
@@ -163,7 +164,7 @@ class AttentionDecoder:
         ctx, qgrid, w = self._context_windows(lateral, source)
         merged = merge(WindowGrid(ctx, qgrid.source_shape, qgrid.window))
         metering.observe("attention", lambda: AttentionRecord(
-            weights=w.copy(), coords=qgrid.coords(), layer_index=self.layer_index,
+            weights=w(), coords=qgrid.coords(), layer_index=self.layer_index,
             ratio=self.cfg.ratio, window=self.cfg.window, heads=self.cfg.heads,
             query_shape=merged.shape))
         return merged
@@ -183,12 +184,10 @@ class AttentionDecoder:
         spans the whole source map. Quadratic cost in source pixels.
         """
         q, k, v = self.project_qkv(lateral, source)
-        N, E, Hq, Wq = q.shape
-        q_tok = reshape(permute(q, (0, 2, 3, 1)), (N, Hq * Wq, E))
-        k_tok = reshape(permute(k, (0, 2, 3, 1)), (N, k.shape[2] * k.shape[3], E))
-        v_tok = reshape(permute(v, (0, 2, 3, 1)), (N, v.shape[2] * v.shape[3], E))
+        N, E = q.shape[:2]
+        q_tok, k_tok, v_tok = (reshape(t, (N, E, t.shape[2] * t.shape[3])) for t in (q, k, v))
         ctx, _ = window_attention(q_tok, k_tok, v_tok, self.cfg.heads)
-        feats = permute(reshape(ctx, (N, Hq, Wq, E)), (0, 3, 1, 2))
+        feats = reshape(ctx, q.shape)
         with metering.tagged("out_conv"):
             out = self.out_conv(feats)
         metering.release_buffers()

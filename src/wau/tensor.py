@@ -225,15 +225,18 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
     tape.backward(loss)
 
 
+def _will_record(inputs: Sequence[Tensor]) -> bool:
+    """Whether `record` would put an op with these inputs on a tape."""
+    return bool(_TAPES) and any(t.requires_grad for t in inputs)
+
+
 def record(name: str, inputs: Sequence[Tensor], out: Tensor, fn: Callable) -> None:
     """Attach a backward rule for `out` to the active tape, if any.
 
     `fn(upstream_grad, acc)` must push contributions via acc.add(input, grad).
     Exposed so composite modules can define fused operations.
     """
-    if not _TAPES:
-        return
-    if any(t.requires_grad for t in inputs):
+    if _will_record(inputs):
         out.requires_grad = True
         _TAPES[-1]._register(_Node(name, out, fn), inputs)
 
@@ -307,20 +310,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return out
 
 
-def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ShapeError(f"permute: axes {axes} invalid for rank {a.ndim}")
-    inverse = tuple(np.argsort(axes))
-    out = Tensor(a.data.transpose(axes))
-
-    def fn(g, acc):
-        acc.add(a, g.transpose(inverse))
-
-    record("permute", (a,), out, fn)
-    return out
-
-
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum(dtype=a.data.dtype).reshape(1))
     _check_finite(out.data, "sum_all")
@@ -338,97 +327,148 @@ def sum_all(a: Tensor) -> Tensor:
 
 # Weights per group of blocks in window_attention: half of a 2 MiB L2 cache.
 _ATTENTION_GROUP_BYTES = 1 << 20
+# Smallest column sum of exp(scores - shift) a block may have under the bound
+# shift: below it (a bound about 27.7 above the true max) the block is redone
+# with the exact column max.
+_ATTENTION_MIN_SUM = 2.0 ** -40
 
 
-def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
+def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
+                     ) -> tuple[Tensor, Callable[[], np.ndarray]]:
     """Multi-head scaled dot-product attention of each query block on its kv block.
 
-    q is (B, Tq, E) and k, v are (B, Tk, E): block b of q attends only to
-    block b of k and v (one window pair, or one whole map for global
-    attention), each of `heads` heads over its own d = E/heads channel
-    slice. Returns the (B, Tq, E) context, heads concatenated in channel
-    order, and a read-only (B, heads, Tq, Tk) view of the softmax weights.
+    Blocks are channel-major: q is (B, E, Tq) and k, v are (B, E, Tk). Block
+    b of q attends only to block b of k and v (one window pair, or one whole
+    map for global attention), each of `heads` heads over its own d = E/heads
+    channel rows. Returns the (B, E, Tq) context, heads in channel order, and
+    a zero-argument callable that rebuilds the (B, heads, Tq, Tk) softmax
+    weights.
 
-    One tape node. The 1/sqrt(d) scale s is folded into q. Scores are laid
-    out kv-major, (B, heads, Tk, Tq), so the softmax reduces over axis -2
-    across whole rows of Tq, and runs in place on that one buffer; the
-    backward keeps only those weights P. With O the output and G its
-    gradient, in (Tq, Tk) layout per block and head:
+    One tape node. Per block and head, with s = 1/sqrt(d), the operands carry
+    one augmented row: Q^ = [s·Q; -b], K^ = [K; 1], V^ = [V; 1]. The shift
 
-        dV = Pᵀ·G,  dS = P∘(dP − rowsum(G∘O)) with dP = G·Vᵀ,
-        dQ = s·dS·K,  dK = dSᵀ·(s·Q)
+        b_q = sum_c max(s·q_cq·max_j k_cj, s·q_cq·min_j k_cj)
 
-    rowsum(G∘O) equals the softmax backward's rowsum(dP∘P) and costs a pass
-    over the output instead of one over the weights.
+    bounds every score of query column q from above and comes from the small
+    q/k arrays, so E = exp(K^ᵀQ^) never overflows. E is kv-major, (Tk, Tq),
+    and the exp runs in place on the score GEMM's output. Then Ô = V^·E holds
+    the unnormalized context and, in its last row, the column sums l; the
+    output is O = Ô[:d] / l. The weights are touched three times: written
+    by the score GEMM, exponentiated, read by the value GEMM.
+
+    A bound can exceed the true column max by far: then l underflows. A
+    block with any l below _ATTENTION_MIN_SUM or not finite is redone with
+    the exact column max as its shift, written into its row of Q^. The
+    decision is per block, never per group.
+
+    The backward keeps only E and the small shifts and l. With G the output
+    gradient and Ĝ = [G/l; -colsum((G/l)∘O)]:
+
+        dS = E∘(V^ᵀĜ),  dV = (G/l)·Eᵀ,  dQ = s·K·dS,  dK = s·Q·dSᵀ
 
     Forward and backward walk the blocks in groups of about
-    _ATTENTION_GROUP_BYTES of weights, so each group's softmax and products
-    run while its scores are in cache. A group holds whole blocks and every
-    step is per block, so the results do not depend on the grouping.
+    _ATTENTION_GROUP_BYTES of weights, so each group's exp and products run
+    while its scores are in cache. A group holds whole blocks and every step
+    is per block, so the results do not depend on the grouping. When no tape
+    will record the op, every group reuses one group-sized buffer and the
+    full (B, heads, Tk, Tq) array is never allocated.
 
     The two products report their multiply-adds under the "attn_scores" and
-    "attn_apply" tags, and the weights under the "weights" buffer.
+    "attn_apply" tags, and the logical weights under the "weights" buffer.
     """
     _match_precision(q, k, "window_attention")
     _match_precision(q, v, "window_attention")
     if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape:
-        raise ShapeError(f"window_attention expects (B, Tq, E) q and equal (B, Tk, E) k, v; "
+        raise ShapeError(f"window_attention expects (B, E, Tq) q and equal (B, E, Tk) k, v; "
                          f"got {q.shape}, {k.shape}, {v.shape}")
-    B, Tq, E = q.shape
-    Tk = k.shape[1]
-    if k.shape[0] != B or k.shape[2] != E:
+    B, E, Tq = q.shape
+    Tk = k.shape[2]
+    if k.shape[:2] != (B, E):
         raise ShapeError(f"window_attention: q {q.shape} and k {k.shape} disagree")
     if heads < 1 or E % heads:
         raise ContractError(f"window_attention: {heads} heads do not divide width {E}")
     h, d = heads, E // heads
     s = 1.0 / float(np.sqrt(d))  # python float: float32 stays float32
+    dtype = q.data.dtype
 
-    def split(x: np.ndarray) -> np.ndarray:
-        """(B, T, E) -> (B, h, T, d) view."""
-        return x.reshape(x.shape[0], x.shape[1], h, d).transpose(0, 2, 1, 3)
+    def augmented(x: np.ndarray, last, scale: float = 1.0) -> np.ndarray:
+        """(B, E, T) -> (B, h, d + 1, T): scale·x in each head's rows, then `last`."""
+        out = np.empty((B, h, d + 1, x.shape[2]), dtype=dtype)
+        np.multiply(x.reshape(B, h, d, -1), scale, out=out[:, :, :d])
+        out[:, :, d] = last
+        return out
 
-    per_group = max(1, _ATTENTION_GROUP_BYTES // (h * Tk * Tq * q.data.itemsize))
-    groups = [slice(b, b + per_group) for b in range(0, B, per_group)]
-    weights = np.empty((B, h, Tk, Tq), dtype=q.data.dtype)
-    out_data = np.empty_like(q.data)
-    qs, kh, vh, oh = split(q.data * s), split(k.data), split(v.data), split(out_data)
-    for b in groups:
-        w = weights[b]
-        np.matmul(kh[b], qs[b].swapaxes(-1, -2), out=w)
-        w -= w.max(axis=-2, keepdims=True)
+    kh, vh, qh = augmented(k.data, 1), augmented(v.data, 1), augmented(q.data, 0, s)
+    sq = qh[:, :, :d]
+    hi = sq * kh[:, :, :d].max(axis=-1, keepdims=True)
+    np.maximum(hi, sq * kh[:, :, :d].min(axis=-1, keepdims=True), out=hi)
+    np.negative(hi.sum(axis=2), out=qh[:, :, d])
+    kt = kh.swapaxes(-1, -2)
+
+    per_group = min(B, max(1, _ATTENTION_GROUP_BYTES // (h * Tk * Tq * dtype.itemsize)))
+    groups = [slice(b, min(b + per_group, B)) for b in range(0, B, per_group)]
+    taped = _will_record((q, k, v))
+    weights = np.empty((B if taped else per_group, h, Tk, Tq), dtype=dtype)
+    ohat = np.empty((B, h, d + 1, Tq), dtype=dtype)
+
+    def exp_scores(i, w) -> None:
+        np.matmul(kt[i], qh[i], out=w)
         np.exp(w, out=w)
-        w /= w.sum(axis=-2, keepdims=True)
-        np.matmul(w.swapaxes(-1, -2), vh[b], out=oh[b])
-    weights.flags.writeable = False
+        np.matmul(vh[i], w, out=ohat[i])
+
+    for b in groups:
+        exp_scores(b, weights[b] if taped else weights[:b.stop - b.start])
+    sums = ohat[:, :, d]
+    for j in np.flatnonzero(~(np.isfinite(sums) & (sums >= _ATTENTION_MIN_SUM)).all(axis=(1, 2))):
+        w = weights[j] if taped else weights[0]
+        qh[j, :, d] = 0
+        np.matmul(kt[j], qh[j], out=w)
+        np.negative(w.max(axis=-2), out=qh[j, :, d])
+        exp_scores(j, w)
+    # Only E, the shifts and l outlive the call: the backward and the
+    # recorded weights rebuild what they need of Q^, K^ and V^.
+    shift, l = qh[:, :, d].copy(), ohat[:, :, d:].copy()
+    out_data = np.empty_like(q.data)
+    np.divide(ohat[:, :, :d], l, out=out_data.reshape(B, h, d, Tq))
     macs = B * Tq * Tk * E
     with metering.tagged("attn_scores"):
         metering.add_macs(macs)
-    metering.track_buffer("weights", weights.size)
+    metering.track_buffer("weights", B * h * Tq * Tk)
     with metering.tagged("attn_apply"):
         metering.add_macs(macs)
     _check_finite(out_data, "window_attention")
     out = Tensor(out_data)
 
+    def recorded() -> np.ndarray:
+        w = np.matmul(augmented(k.data, 1).swapaxes(-1, -2), augmented(q.data, shift, s))
+        np.exp(w, out=w)
+        w /= l
+        return w.swapaxes(-1, -2)
+
     def fn(g, acc):
         dq, dk, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
-        gh, dqh, dkh, dvh = split(g), split(dq), split(dk), split(dv)
-        # Rebuilt here, not kept from the forward: only the weights outlive it.
-        q_s, k_s, v_h = split(q.data * s), split(k.data * s), split(v.data)
-        rowdot = split(g * out_data).sum(axis=-1)[:, :, None, :]
+        dqh, dkh, dvh = (x.reshape(B, h, d, -1) for x in (dq, dk, dv))
+        ghat = np.empty((B, h, d + 1, Tq), dtype=dtype)
+        gl = np.divide(g.reshape(B, h, d, Tq), l, out=ghat[:, :, :d])
+        np.negative((gl * out_data.reshape(B, h, d, Tq)).sum(axis=2), out=ghat[:, :, d])
+        vt = augmented(v.data, 1).swapaxes(-1, -2)
+        q4, k4 = q.data.reshape(B, h, d, Tq), k.data.reshape(B, h, d, Tk)
+        ds_buf = np.empty((per_group, h, Tk, Tq), dtype=dtype)
         for b in groups:
-            p = weights[b]
-            np.matmul(p, gh[b], out=dvh[b])
-            ds = np.matmul(v_h[b], gh[b].swapaxes(-1, -2))
-            ds -= rowdot[b]
-            ds *= p
-            np.matmul(ds.swapaxes(-1, -2), k_s[b], out=dqh[b])
-            np.matmul(ds, q_s[b], out=dkh[b])
+            e, ds = weights[b], ds_buf[:b.stop - b.start]
+            np.matmul(vt[b], ghat[b], out=ds)
+            ds *= e
+            np.matmul(gl[b], e.swapaxes(-1, -2), out=dvh[b])
+            np.matmul(k4[b], ds, out=dqh[b])
+            np.matmul(q4[b], ds.swapaxes(-1, -2), out=dkh[b])
+        dq *= s
+        dk *= s
         acc.add(q, dq)
         acc.add(k, dk)
         acc.add(v, dv)
 
     record("window_attention", (q, k, v), out, fn)
-    return out, weights.swapaxes(-1, -2)
+    return out, recorded
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -1,9 +1,10 @@
 """Square window partitioning of feature maps into token blocks.
 
 A map (N, C, H, W) splits into non-overlapping M x M windows ordered
-batch-major then raster (top-left to bottom-right). Each window is a block
-of M*M tokens (row-major within the window) with channels last, the layout
-attention consumes. Partition and merge are exact inverse permutations of
+batch-major then raster (top-left to bottom-right). Each window is a
+channel-major block (C, M*M): one row per channel, tokens row-major within
+the window, the layout attention consumes, so splitting a block into heads
+is a free reshape. Partition and merge are exact inverse permutations of
 the underlying scalars, so a round trip is bitwise lossless.
 """
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .tensor import ShapeError, Tensor, record
 class WindowGrid:
     """Window token blocks plus the geometry needed to merge them back."""
 
-    blocks: Tensor            # (num_windows, M*M, C)
+    blocks: Tensor            # (num_windows, C, M*M), channel-major
     source_shape: tuple[int, int, int, int]
     window: int
 
@@ -53,13 +54,13 @@ def partition(x: Tensor, window: int) -> WindowGrid:
     th, tw = H // window, W // window
     M = window
     out_data = (x.data.reshape(N, C, th, M, tw, M)
-                .transpose(0, 2, 4, 3, 5, 1)
-                .reshape(N * th * tw, M * M, C))
+                .transpose(0, 2, 4, 1, 3, 5)
+                .reshape(N * th * tw, C, M * M))
     out = Tensor(np.ascontiguousarray(out_data))
 
     def fn(g, acc):
-        acc.add(x, g.reshape(N, th, tw, M, M, C)
-                .transpose(0, 5, 1, 3, 2, 4)
+        acc.add(x, g.reshape(N, th, tw, C, M, M)
+                .transpose(0, 3, 1, 4, 2, 5)
                 .reshape(N, C, H, W))
 
     record("window_partition", (x,), out, fn)
@@ -71,19 +72,19 @@ def merge(grid: WindowGrid) -> Tensor:
     M = grid.window
     th, tw = grid.tiles
     blocks = grid.blocks
-    if blocks.shape != (N * th * tw, M * M, C):
+    if blocks.shape != (N * th * tw, C, M * M):
         raise ShapeError(
             f"merge: blocks shape {blocks.shape} inconsistent with grid "
             f"{grid.source_shape} window {M}")
-    out_data = (blocks.data.reshape(N, th, tw, M, M, C)
-                .transpose(0, 5, 1, 3, 2, 4)
+    out_data = (blocks.data.reshape(N, th, tw, C, M, M)
+                .transpose(0, 3, 1, 4, 2, 5)
                 .reshape(N, C, H, W))
     out = Tensor(np.ascontiguousarray(out_data))
 
     def fn(g, acc):
         acc.add(blocks, g.reshape(N, C, th, M, tw, M)
-                .transpose(0, 2, 4, 3, 5, 1)
-                .reshape(N * th * tw, M * M, C))
+                .transpose(0, 2, 4, 1, 3, 5)
+                .reshape(N * th * tw, C, M * M))
 
     record("window_merge", (blocks,), out, fn)
     return out

@@ -94,6 +94,26 @@ def naive_transposed(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     return out
 
 
+def naive_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
+    """Per block and head: softmax(q^T k / sqrt(d)) over keys, applied to v.
+
+    q is (B, E, Tq) and k, v are (B, E, Tk), channel-major. Returns the
+    (B, E, Tq) context and the (B, heads, Tq, Tk) weights.
+    """
+    B, E, Tq = q.shape
+    d = E // heads
+    out = np.empty_like(q)
+    weights = np.empty((B, heads, Tq, k.shape[2]), dtype=q.dtype)
+    for b in range(B):
+        for h in range(heads):
+            c = slice(h * d, (h + 1) * d)
+            scores = q[b, c].T @ k[b, c] / np.sqrt(d)
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            weights[b, h] = e / e.sum(axis=1, keepdims=True)
+            out[b, c] = v[b, c] @ weights[b, h].T
+    return out, weights
+
+
 def exhaustive_hausdorff(pred: np.ndarray, target: np.ndarray) -> float:
     """Symmetric Hausdorff distance by a full |A| x |B| scan of foreground pairs."""
     a = np.argwhere(pred).astype(np.float64)

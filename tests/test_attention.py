@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 
+from conftest import naive_attention
 from wau import metering
 from wau.attention import AttentionDecoder, WauConfig
 from wau.tensor import ContractError, NumericsError, Tape, sum_all, tensor
+from wau.windows import paired_partition, partition
 
 
 def dirac(spec):
@@ -119,6 +121,20 @@ class TestWadForward:
         assert rec.coords == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
         assert rec.query_shape == (1, 4, 8, 8)
         assert rec.ratio == 2 and rec.window == 2 and rec.heads == 2
+
+    def test_recorded_weights_are_the_naive_softmax(self):
+        _, dec = make_decoder(lat_c=4, src_c=4, heads=2, window=2)
+        lat, z = maps(lat_c=4, src_c=4, h=4, w=4)
+        with metering.recording() as trace:
+            dec.wad_features(lat, z)
+        (rec,) = trace["attention"]
+        q, k, v = dec.project_qkv(lat, z)
+        qg, kg = paired_partition(q, k, 2, 2)
+        _, want = naive_attention(qg.blocks.data, kg.blocks.data,
+                                  partition(v, 2).blocks.data, 2)
+        np.testing.assert_allclose(rec.weights, want, atol=1e-12)
+        assert (rec.weights >= 0).all()
+        np.testing.assert_allclose(rec.row_sums(), 1.0, atol=1e-12)
 
     def test_rows_stochastic(self):
         _, dec = make_decoder(heads=2, window=2)

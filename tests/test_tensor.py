@@ -1,4 +1,6 @@
 """Autodiff core: op semantics, tape mechanics, numerics policing."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,9 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import wau
+from conftest import naive_attention
 from wau.analysis import gradcheck
 from wau.tensor import (ContractError, NumericsError, ShapeError, Tape,
-                        Tensor, add, layer_norm, mul, permute, record, relu,
+                        Tensor, add, layer_norm, mul, record, relu,
                         reshape, sum_all, tensor, uniform_param, window_attention,
                         zeros)
 
@@ -57,8 +60,8 @@ def test_package_exposes_the_tensor_module():
 
 def attention_weights(q, k):
     """Single-head window_attention weights of queries q on keys k, each (T, E)."""
-    q, k = (tensor(np.asarray(a)[None], precision="double") for a in (q, k))
-    return window_attention(q, k, k, 1)[1][0, 0]
+    q, k = (tensor(np.asarray(a).T[None], precision="double") for a in (q, k))
+    return window_attention(q, k, k, 1)[1]()[0, 0]
 
 
 class TestOpValues:
@@ -201,10 +204,8 @@ class TestTapeBackward:
         x = tensor(rng.normal(size=(2, 3, 4)).astype(np.float64))
         x.requires_grad = True
         with Tape() as tape:
-            y = permute(x, (2, 0, 1))
-            z = reshape(y, (4, 6))
-            w = permute(z, (1, 0))
-            tape.backward(sum_all(w))
+            z = reshape(x, (4, 6))
+            tape.backward(sum_all(z))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3, 4)))
 
     @given(x=hnp.arrays(np.float64, (4, 3),
@@ -213,34 +214,18 @@ class TestTapeBackward:
         # The attention softmax is shift-invariant: moving every key of a
         # block by the same vector leaves the output unchanged, so the key
         # gradients of a block must sum to ~0.
-        q, k, v = (tensor(a[None], precision="double", requires_grad=True)
+        q, k, v = (tensor(a.T[None], precision="double", requires_grad=True)
                    for a in (x, x[::-1], x))
         with Tape() as tape:
             out = window_attention(q, k, v, 1)[0]
             tape.backward(sum_all(mul(out, out)))
-        np.testing.assert_allclose(k.grad.sum(axis=1), 0.0,
+        np.testing.assert_allclose(k.grad.sum(axis=2), 0.0,
                                    atol=1e-10 * max(1.0, np.abs(k.grad).max()))
-
-
-def naive_attention(q, k, v, heads):
-    """Per block and head: softmax(q k^T / sqrt(d)) v, and the weights."""
-    B, Tq, E = q.shape
-    d = E // heads
-    out = np.empty_like(q)
-    weights = np.empty((B, heads, Tq, k.shape[1]), dtype=q.dtype)
-    for b in range(B):
-        for h in range(heads):
-            c = slice(h * d, (h + 1) * d)
-            scores = q[b, :, c] @ k[b, :, c].T / np.sqrt(d)
-            e = np.exp(scores - scores.max(axis=1, keepdims=True))
-            weights[b, h] = e / e.sum(axis=1, keepdims=True)
-            out[b, :, c] = weights[b, h] @ v[b, :, c]
-    return out, weights
 
 
 class TestWindowAttention:
     def qkv(self, rng, B=3, Tq=6, Tk=4, E=8, precision="double"):
-        return [tensor(rng.normal(size=(B, T, E)), precision=precision, requires_grad=True)
+        return [tensor(rng.normal(size=(B, E, T)), precision=precision, requires_grad=True)
                 for T in (Tq, Tk, Tk)]
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
@@ -249,7 +234,7 @@ class TestWindowAttention:
         out, weights = window_attention(q, k, v, heads)
         ref_out, ref_w = naive_attention(q.data, k.data, v.data, heads)
         np.testing.assert_allclose(out.numpy(), ref_out, atol=1e-12)
-        np.testing.assert_allclose(weights, ref_w, atol=1e-12)
+        np.testing.assert_allclose(weights(), ref_w, atol=1e-12)
 
     def test_batched_matches_per_block(self, rng):
         q, k, v = self.qkv(rng, precision="single")
@@ -258,10 +243,10 @@ class TestWindowAttention:
             one = [tensor(t.data[b:b + 1]) for t in (q, k, v)]
             out_b, weights_b = window_attention(*one, 2)
             np.testing.assert_array_equal(out.numpy()[b:b + 1], out_b.numpy())
-            np.testing.assert_array_equal(weights[b:b + 1], weights_b)
+            np.testing.assert_array_equal(weights()[b:b + 1], weights_b())
 
     def test_grouping_does_not_change_results(self, rng, monkeypatch):
-        g = rng.normal(size=(3, 6, 8)).astype(np.float32)
+        g = rng.normal(size=(3, 8, 6)).astype(np.float32)
         results = []
         for group_bytes in (1 << 20, 2 * 2 * 4 * 6 * 4):   # all blocks at once; two per group
             monkeypatch.setattr(wau.tensor, "_ATTENTION_GROUP_BYTES", group_bytes)
@@ -269,7 +254,7 @@ class TestWindowAttention:
             with Tape() as tape:
                 out, weights = window_attention(q, k, v, 2)
                 tape.backward(sum_all(mul(out, tensor(g))))
-            results.append([out.data, weights, q.grad, k.grad, v.grad])
+            results.append([out.data, weights(), q.grad, k.grad, v.grad])
         for a, b in zip(*results):
             np.testing.assert_array_equal(a, b)
 
@@ -285,7 +270,7 @@ class TestWindowAttention:
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_gradcheck_weighted(self, rng, heads):
         q, k, v = self.qkv(rng, B=2, Tq=6, Tk=3)
-        weights = tensor(rng.normal(size=(2, 6, 8)), precision="double")
+        weights = tensor(rng.normal(size=(2, 8, 6)), precision="double")
         report = gradcheck(lambda: mul(window_attention(q, k, v, heads)[0], weights),
                            [("q", q), ("k", k), ("v", v)])
         assert report.max_rel_error < 1e-7
@@ -293,7 +278,7 @@ class TestWindowAttention:
     def test_single_precision_agrees_with_double(self, rng):
         double = self.qkv(rng, B=4, Tq=16, Tk=8)
         single = [tensor(t.data, requires_grad=True) for t in double]
-        g = rng.normal(size=(4, 16, 8))
+        g = rng.normal(size=(4, 8, 16))
         outs = []
         for q, k, v in (double, single):
             with Tape() as tape:
@@ -303,3 +288,62 @@ class TestWindowAttention:
             outs.append([out.data, q.grad, k.grad, v.grad])
         for a, b in zip(*outs):
             assert np.linalg.norm(a - b) <= 1e-5 * np.linalg.norm(a)
+
+    @pytest.mark.parametrize("a", [10.0, 40.0])
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_loose_bound_falls_back_to_the_exact_max(self, rng, monkeypatch, precision, a):
+        # Keys (a, 0) and (0, a) against (a, a) queries: the box bound is
+        # sqrt(2)·a², the true max a²/sqrt(2). At a = 10 the gap of 70.7
+        # leaves column sums near 4e-31; at a = 40 the gap of 1131 underflows
+        # them to 0 in both precisions. Block 1 sits between two ordinary blocks.
+        base = [t.data.copy() for t in self.qkv(rng, B=3, Tq=2, Tk=2, E=2, precision=precision)]
+        base[0][1] = a
+        base[1][1] = [[a, 0.0], [0.0, a]]
+        g = rng.normal(size=(3, 2, 2))
+        tol = 1e-12 if precision == "double" else 1e-6
+
+        def run(blocks):
+            q, k, v = (tensor(a[blocks], precision=precision, requires_grad=True) for a in base)
+            with Tape() as tape:
+                out, weights = window_attention(q, k, v, 1)
+                tape.backward(sum_all(mul(out, tensor(g[blocks], precision=precision))))
+            return [out.data, weights(), q.grad, k.grad, v.grad]
+
+        together = run(slice(None))
+        ref_out, ref_w = naive_attention(*(a.astype(np.float64) for a in base), 1)
+        np.testing.assert_allclose(together[0], ref_out, atol=tol)
+        np.testing.assert_allclose(together[1], ref_w, atol=tol)
+        for b in range(3):
+            for a, one in zip(together, run(slice(b, b + 1))):
+                np.testing.assert_array_equal(a[b:b + 1], one)
+        monkeypatch.setattr(wau.tensor, "_ATTENTION_GROUP_BYTES", 2 * 2 * 2 * 8)
+        for a, grouped in zip(together, run(slice(None))):
+            np.testing.assert_array_equal(a, grouped)
+        if precision == "double":
+            q, k, v = (tensor(a, precision="double", requires_grad=True) for a in base)
+            weights = tensor(g, precision="double")
+            report = gradcheck(lambda: mul(window_attention(q, k, v, 1)[0], weights),
+                               [("q", q), ("k", k), ("v", v)])
+            assert report.max_rel_error < 1e-7
+
+    def test_tape_free_call_holds_no_weights_array(self, rng):
+        # The second-stage shape of the 128x128 net: 256 blocks of 256
+        # queries on 64 keys, width 8 in 4 heads, 64 MiB of logical weights.
+        B, Tq, Tk, E, h = 256, 256, 64, 8, 4
+        q, k, v = (tensor(rng.normal(size=(B, E, T)).astype(np.float32)) for T in (Tq, Tk, Tk))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = window_attention(q, k, v, h)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before - out.data.nbytes < B * h * Tq * Tk * 4 / 4
+        taped = [tensor(t.data[:16], requires_grad=True) for t in (q, k, v)]
+        g = tensor(rng.normal(size=(16, E, Tq)).astype(np.float32))
+        with Tape() as tape:
+            out_t = window_attention(*taped, h)[0]
+            tape.backward(sum_all(mul(out_t, g)))
+        np.testing.assert_array_equal(out_t.data, out.data[:16])
+        for t in taped:
+            assert t.grad.shape == t.shape and np.abs(t.grad).max() > 0

@@ -18,7 +18,7 @@ class TestPartition:
         x = fmap(1, 3, 4, 4)
         grid = partition(x, 4)
         assert grid.num_windows == 1
-        assert grid.blocks.shape == (1, 16, 3)
+        assert grid.blocks.shape == (1, 3, 16)
 
     def test_8x8_m4_gives_4_windows_raster_order(self):
         x = fmap(1, 2, 8, 8)
@@ -30,7 +30,7 @@ class TestPartition:
         x = fmap(1, 2, 8, 8)
         grid = partition(x, 4)
         # window (0, 1, 0): rows 4..8, cols 0..4, tokens in raster order
-        want = x.numpy()[0, :, 4:8, 0:4].transpose(1, 2, 0).reshape(16, 2)
+        want = x.numpy()[0, :, 4:8, 0:4].reshape(2, 16)
         np.testing.assert_array_equal(grid.blocks.numpy()[2], want)
 
     def test_m1_singleton_windows(self):
@@ -56,7 +56,7 @@ class TestPartition:
 
     def test_merge_validates_block_shape(self):
         grid = partition(fmap(1, 2, 4, 4), 2)
-        bad = WindowGrid(tensor(np.zeros((3, 4, 2), dtype=np.float32)),
+        bad = WindowGrid(tensor(np.zeros((3, 2, 4), dtype=np.float32)),
                          grid.source_shape, grid.window)
         with pytest.raises(ShapeError):
             merge(bad)
@@ -76,8 +76,8 @@ class TestPairedPartition:
         kv = fmap(1, 8, 2, 2)
         qg, kg = paired_partition(q, kv, kv_window=2, ratio=2)
         assert qg.num_windows == kg.num_windows == 1
-        assert qg.blocks.shape == (1, 16, 4)
-        assert kg.blocks.shape == (1, 4, 8)
+        assert qg.blocks.shape == (1, 4, 16)
+        assert kg.blocks.shape == (1, 8, 4)
 
     def test_four_aligned_pairs(self):
         q = fmap(1, 2, 8, 8)
