@@ -225,18 +225,13 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
     tape.backward(loss)
 
 
-def _will_record(inputs: Sequence[Tensor]) -> bool:
-    """Whether `record` would put an op with these inputs on a tape."""
-    return bool(_TAPES) and any(t.requires_grad for t in inputs)
-
-
 def record(name: str, inputs: Sequence[Tensor], out: Tensor, fn: Callable) -> None:
     """Attach a backward rule for `out` to the active tape, if any.
 
     `fn(upstream_grad, acc)` must push contributions via acc.add(input, grad).
     Exposed so composite modules can define fused operations.
     """
-    if _will_record(inputs):
+    if _TAPES and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         _TAPES[-1]._register(_Node(name, out, fn), inputs)
 
@@ -331,6 +326,7 @@ _ATTENTION_GROUP_BYTES = 1 << 20
 # shift: below it (a bound about 27.7 above the true max) the block is redone
 # with the exact column max.
 _ATTENTION_MIN_SUM = 2.0 ** -40
+_LOG2_E = float(np.log2(np.e))
 
 
 def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
@@ -344,34 +340,39 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
     a zero-argument callable that rebuilds the (B, heads, Tq, Tk) softmax
     weights.
 
-    One tape node. Per block and head, with s = 1/sqrt(d), the operands carry
-    one augmented row: Q^ = [s·Q; -b], K^ = [K; 1], V^ = [V; 1]. The shift
+    One tape node. Per block and head, with s = 1/sqrt(d) and t = s·log2(e),
+    the operands carry one augmented row: Q^ = [t·Q; -t·b], K^ = [K; 1],
+    V^ = [V; 1]. The shift
 
         b_q = sum_c max(s·q_cq·max_j k_cj, s·q_cq·min_j k_cj)
 
     bounds every score of query column q from above and comes from the small
-    q/k arrays, so E = exp(K^ᵀQ^) never overflows. E is kv-major, (Tk, Tq),
-    and the exp runs in place on the score GEMM's output. Then Ô = V^·E holds
-    the unnormalized context and, in its last row, the column sums l; the
-    output is O = Ô[:d] / l. The weights are touched three times: written
-    by the score GEMM, exponentiated, read by the value GEMM.
+    q/k arrays, so E = 2^(K^ᵀQ^) = exp(s·KᵀQ - b) never overflows. E is
+    kv-major, (Tk, Tq), and the exp2 runs in place on the score GEMM's
+    output. Then Ô = V^·E holds the unnormalized context and, in its last
+    row, the column sums l; the output is O = Ô[:d] / l. The weights are
+    touched three times: written by the score GEMM, exponentiated, read by
+    the value GEMM.
 
     A bound can exceed the true column max by far: then l underflows. A
     block with any l below _ATTENTION_MIN_SUM or not finite is redone with
     the exact column max as its shift, written into its row of Q^. The
     decision is per block, never per group.
 
-    The backward keeps only E and the small shifts and l. With G the output
-    gradient and Ĝ = [G/l; -colsum((G/l)∘O)]:
+    The forward walks the blocks in groups of about _ATTENTION_GROUP_BYTES
+    of weights, reusing one group-sized buffer, so each group's exp2 and
+    products run while its scores are in cache; the full (B, heads, Tk, Tq)
+    array is never allocated, with or without a tape. Only the shifts and l
+    outlive the call. The backward rebuilds Q^ and K^ from q, k and the
+    kept shifts, and per group of half that size (it holds two buffers,
+    E and dS) recomputes E with the forward's per-block GEMM, so E is the
+    forward's bit for bit. With G the output gradient and
+    Ĝ = [G/l; -colsum((G/l)∘O)]:
 
         dS = E∘(V^ᵀĜ),  dV = (G/l)·Eᵀ,  dQ = s·K·dS,  dK = s·Q·dSᵀ
 
-    Forward and backward walk the blocks in groups of about
-    _ATTENTION_GROUP_BYTES of weights, so each group's exp and products run
-    while its scores are in cache. A group holds whole blocks and every step
-    is per block, so the results do not depend on the grouping. When no tape
-    will record the op, every group reuses one group-sized buffer and the
-    full (B, heads, Tk, Tq) array is never allocated.
+    A group holds whole blocks and every step is per block, so the results
+    do not depend on the grouping.
 
     The two products report their multiply-adds under the "attn_scores" and
     "attn_apply" tags, and the logical weights under the "weights" buffer.
@@ -388,7 +389,8 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
     if heads < 1 or E % heads:
         raise ContractError(f"window_attention: {heads} heads do not divide width {E}")
     h, d = heads, E // heads
-    s = 1.0 / float(np.sqrt(d))  # python float: float32 stays float32
+    s = 1.0 / float(np.sqrt(d))  # python floats: float32 stays float32
+    t = s * _LOG2_E
     dtype = q.data.dtype
 
     def augmented(x: np.ndarray, last, scale: float = 1.0) -> np.ndarray:
@@ -398,35 +400,39 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
         out[:, :, d] = last
         return out
 
-    kh, vh, qh = augmented(k.data, 1), augmented(v.data, 1), augmented(q.data, 0, s)
+    def groups(nbytes: int) -> tuple[list[slice], np.ndarray]:
+        """Slices of whole blocks with about nbytes of weights each, and a buffer for one."""
+        n = min(B, max(1, nbytes // (h * Tk * Tq * dtype.itemsize)))
+        return ([slice(b, min(b + n, B)) for b in range(0, B, n)],
+                np.empty((n, h, Tk, Tq), dtype=dtype))
+
+    def exp_scores(kt, qh, i, w) -> None:
+        np.matmul(kt[i], qh[i], out=w)
+        np.exp2(w, out=w)
+
+    kh, vh, qh = augmented(k.data, 1), augmented(v.data, 1), augmented(q.data, 0, t)
     sq = qh[:, :, :d]
     hi = sq * kh[:, :, :d].max(axis=-1, keepdims=True)
     np.maximum(hi, sq * kh[:, :, :d].min(axis=-1, keepdims=True), out=hi)
     np.negative(hi.sum(axis=2), out=qh[:, :, d])
     kt = kh.swapaxes(-1, -2)
-
-    per_group = min(B, max(1, _ATTENTION_GROUP_BYTES // (h * Tk * Tq * dtype.itemsize)))
-    groups = [slice(b, min(b + per_group, B)) for b in range(0, B, per_group)]
-    taped = _will_record((q, k, v))
-    weights = np.empty((B if taped else per_group, h, Tk, Tq), dtype=dtype)
     ohat = np.empty((B, h, d + 1, Tq), dtype=dtype)
 
-    def exp_scores(i, w) -> None:
-        np.matmul(kt[i], qh[i], out=w)
-        np.exp(w, out=w)
+    def apply(i, w) -> None:
+        exp_scores(kt, qh, i, w)
         np.matmul(vh[i], w, out=ohat[i])
 
-    for b in groups:
-        exp_scores(b, weights[b] if taped else weights[:b.stop - b.start])
+    fwd_groups, weights = groups(_ATTENTION_GROUP_BYTES)
+    for b in fwd_groups:
+        apply(b, weights[:b.stop - b.start])
     sums = ohat[:, :, d]
     for j in np.flatnonzero(~(np.isfinite(sums) & (sums >= _ATTENTION_MIN_SUM)).all(axis=(1, 2))):
-        w = weights[j] if taped else weights[0]
         qh[j, :, d] = 0
-        np.matmul(kt[j], qh[j], out=w)
-        np.negative(w.max(axis=-2), out=qh[j, :, d])
-        exp_scores(j, w)
-    # Only E, the shifts and l outlive the call: the backward and the
-    # recorded weights rebuild what they need of Q^, K^ and V^.
+        np.matmul(kt[j], qh[j], out=weights[0])
+        np.negative(weights[0].max(axis=-2), out=qh[j, :, d])
+        apply(j, weights[0])
+    # Only the shifts and l outlive the call: the backward and the recorded
+    # weights rebuild what they need of Q^, K^, V^ and E.
     shift, l = qh[:, :, d].copy(), ohat[:, :, d:].copy()
     out_data = np.empty_like(q.data)
     np.divide(ohat[:, :, :d], l, out=out_data.reshape(B, h, d, Tq))
@@ -439,9 +445,13 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
     _check_finite(out_data, "window_attention")
     out = Tensor(out_data)
 
+    def rebuilt() -> tuple[np.ndarray, np.ndarray]:
+        """K^ᵀ and Q^ as the forward left them, shifts included."""
+        return augmented(k.data, 1).swapaxes(-1, -2), augmented(q.data, shift, t)
+
     def recorded() -> np.ndarray:
-        w = np.matmul(augmented(k.data, 1).swapaxes(-1, -2), augmented(q.data, shift, s))
-        np.exp(w, out=w)
+        w = np.matmul(*rebuilt())
+        np.exp2(w, out=w)
         w /= l
         return w.swapaxes(-1, -2)
 
@@ -451,11 +461,14 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
         ghat = np.empty((B, h, d + 1, Tq), dtype=dtype)
         gl = np.divide(g.reshape(B, h, d, Tq), l, out=ghat[:, :, :d])
         np.negative((gl * out_data.reshape(B, h, d, Tq)).sum(axis=2), out=ghat[:, :, d])
+        kt, qh = rebuilt()
         vt = augmented(v.data, 1).swapaxes(-1, -2)
         q4, k4 = q.data.reshape(B, h, d, Tq), k.data.reshape(B, h, d, Tk)
-        ds_buf = np.empty((per_group, h, Tk, Tq), dtype=dtype)
-        for b in groups:
-            e, ds = weights[b], ds_buf[:b.stop - b.start]
+        bwd_groups, e_buf = groups(_ATTENTION_GROUP_BYTES // 2)
+        ds_buf = np.empty_like(e_buf)
+        for b in bwd_groups:
+            e, ds = e_buf[:b.stop - b.start], ds_buf[:b.stop - b.start]
+            exp_scores(kt, qh, b, e)
             np.matmul(vt[b], ghat[b], out=ds)
             ds *= e
             np.matmul(gl[b], e.swapaxes(-1, -2), out=dvh[b])

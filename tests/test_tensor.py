@@ -248,15 +248,17 @@ class TestWindowAttention:
     def test_grouping_does_not_change_results(self, rng, monkeypatch):
         g = rng.normal(size=(3, 8, 6)).astype(np.float32)
         results = []
-        for group_bytes in (1 << 20, 2 * 2 * 4 * 6 * 4):   # all blocks at once; two per group
+        # All blocks at once; two per group (one per backward group); one per group.
+        for group_bytes in (1 << 20, 2 * 2 * 4 * 6 * 4, 2 * 4 * 6 * 4):
             monkeypatch.setattr(wau.tensor, "_ATTENTION_GROUP_BYTES", group_bytes)
             q, k, v = self.qkv(np.random.default_rng(7), precision="single")
             with Tape() as tape:
                 out, weights = window_attention(q, k, v, 2)
                 tape.backward(sum_all(mul(out, tensor(g))))
             results.append([out.data, weights(), q.grad, k.grad, v.grad])
-        for a, b in zip(*results):
-            np.testing.assert_array_equal(a, b)
+        for other in results[1:]:
+            for a, b in zip(results[0], other):
+                np.testing.assert_array_equal(a, b)
 
     def test_mixed_precision_rejected(self, rng):
         q, k, v = self.qkv(rng)
@@ -347,3 +349,29 @@ class TestWindowAttention:
         np.testing.assert_array_equal(out_t.data, out.data[:16])
         for t in taped:
             assert t.grad.shape == t.shape and np.abs(t.grad).max() > 0
+
+    def test_taped_call_holds_no_weights_array(self, rng):
+        # The same stage-2 shape on a tape: after the forward only the
+        # shifts and column sums may stay beyond inputs and output, and the
+        # backward rebuilds E per group instead of reading a kept copy.
+        B, Tq, Tk, E, h = 256, 256, 64, 8, 4
+        weight_bytes = B * h * Tq * Tk * 4
+        q, k, v = (tensor(rng.normal(size=(B, E, T)).astype(np.float32), requires_grad=True)
+                   for T in (Tq, Tk, Tk))
+        g = tensor(rng.normal(size=(B, E, Tq)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                out = window_attention(q, k, v, h)[0]
+                held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+                loss = sum_all(mul(out, g))
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                tape.backward(loss)
+                backward_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert held < weight_bytes / 8
+        assert backward_peak < weight_bytes / 4
+        assert all(np.abs(t.grad).max() > 0 for t in (q, k, v))
