@@ -30,7 +30,7 @@ def _draw_shape(mask: np.ndarray, label: int, rng: np.random.Generator) -> None:
     # below 0.3) and leaves headroom between chance and a trained net.
     ry = rng.uniform(0.08 * h, 0.18 * h)
     rx = rng.uniform(0.08 * w, 0.18 * w)
-    yy, xx = np.mgrid[0:h, 0:w]
+    yy, xx = np.ogrid[0:h, 0:w]
     if rng.integers(2) == 0:
         inside = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
     else:

@@ -4,9 +4,13 @@ Conventions, fixed here and relied on by the trainer:
   dice   both masks empty -> 1.0 (perfect agreement on absence)
   hausdorff  both empty -> 0.0; exactly one empty -> the image diagonal
              sqrt((H-1)^2 + (W-1)^2), the largest possible distance.
-Hausdorff is the exact symmetric max-min over all foreground pixel pairs,
-scanned from source pixels outside the target to target boundary pixels
-only, in blocks of bounded size, so memory does not grow with |A|*|B|.
+Hausdorff is the exact symmetric max-min over all foreground pixel pairs.
+Each directed term is separable (the first stage of the exact squared
+Euclidean distance transform, Felzenszwalb & Huttenlocher 2012): per target
+row, the squared horizontal distance to that row's nearest target pixel; then,
+per source pixel outside the target, a min over target rows of (row gap)^2 plus
+that distance. Work is (source pixels outside the target) * (target rows), in
+blocks of bounded size, so memory does not grow with |A|*|B|.
 """
 from __future__ import annotations
 
@@ -36,24 +40,37 @@ BLOCK_PAIRS = 1 << 16
 
 def _directed_sq(src: np.ndarray, dst: np.ndarray) -> int:
     """max over src pixels of the squared distance to the nearest dst pixel.
-    src pixels inside dst are at 0. For one outside, the nearest dst pixel's
-    4-neighbour toward it lies in the image and outside dst, so only such edge
-    pixels are scanned (off-image neighbours count as inside). Exact integers."""
+
+    src pixels inside dst are at 0. For one outside at (y, x),
+    min over (y', x') in dst of (y-y')^2 + (x-x')^2 equals
+    min over dst rows y' of [(y-y')^2 + D[y', x]], where D[y', x] is the squared
+    distance from column x to the nearest dst pixel in row y'. D comes from a
+    running max of dst columns from the left and a running min from the right,
+    and is kept as a (W, rows) table so each source pixel gathers one
+    contiguous row. Integers are exact: int32 while (H-1)^2 + (W-1)^2 < 2^31,
+    else int64."""
     oy, ox = np.nonzero(src > dst)
     if len(oy) == 0:
         return 0
-    inner = dst.copy()
-    inner[1:] &= dst[:-1]
-    inner[:-1] &= dst[1:]
-    inner[:, 1:] &= dst[:, :-1]
-    inner[:, :-1] &= dst[:, 1:]
-    ey, ex = np.nonzero(dst > inner)
+    h, w = dst.shape
+    dtype = np.int32 if (h - 1) ** 2 + (w - 1) ** 2 < 1 << 31 else np.int64
+    rows = np.flatnonzero(dst.any(axis=1)).astype(dtype)
+    hit = dst[rows]
+    cols = np.arange(w, dtype=dtype)
+    # Each row holds a dst pixel, so a side with none (a sentinel at least w
+    # away) never wins the min below.
+    left =np.maximum.accumulate(np.where(hit, cols, -w), axis=1)
+    right = np.minimum.accumulate(np.where(hit, cols, 2 * w)[:, ::-1], axis=1)[:, ::-1]
+    gap = np.minimum(cols - left, right - cols)
+    table = np.ascontiguousarray((gap * gap).T)
+    oy = oy.astype(dtype)
     worst = 0
-    rows = max(1, BLOCK_PAIRS // len(ey))
-    for lo in range(0, len(oy), rows):
-        dy = oy[lo:lo + rows, None] - ey
-        dx = ox[lo:lo + rows, None] - ex
-        worst = max(worst, int((dy * dy + dx * dx).min(axis=1).max()))
+    step = max(1, BLOCK_PAIRS // len(rows))
+    for lo in range(0, len(oy), step):
+        dist = oy[lo:lo + step, None] - rows
+        dist *= dist
+        dist += table.take(ox[lo:lo + step], axis=0)
+        worst = max(worst, int(dist.min(axis=1).max()))
     return worst
 
 
@@ -61,6 +78,8 @@ def hausdorff(pred: np.ndarray, target: np.ndarray) -> float:
     """Symmetric Hausdorff distance between two boolean foreground masks."""
     if pred.shape != target.shape:
         raise ShapeError(f"hausdorff: shape mismatch {pred.shape} vs {target.shape}")
+    if pred.ndim != 2:
+        raise ShapeError(f"hausdorff: masks must be 2-D, got shape {pred.shape}")
     a = np.asarray(pred, dtype=bool)
     b = np.asarray(target, dtype=bool)
     if not (a.any() and b.any()):

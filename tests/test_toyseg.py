@@ -1,10 +1,11 @@
 """Synthetic data, the segmentation net, metrics, loss, and the optimizer."""
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -15,8 +16,8 @@ from wau.analysis import gradcheck
 from wau.tensor import ContractError, NumericsError, ShapeError, Tape, Tensor, tensor
 from wau.toyseg.data import augment, gen_dataset, make_sample
 from wau.toyseg.loss import seg_loss
-from wau.toyseg.metrics import (dice_score, hausdorff, mean_dice,
-                                mean_hausdorff)
+from wau.toyseg.metrics import (_directed_sq, dice_score, hausdorff,
+                                mean_dice, mean_hausdorff)
 from wau.toyseg.model import ToyNet
 from wau.toyseg.optim import Adam, lr_at
 
@@ -59,6 +60,24 @@ class TestData:
         assert s.mask.shape == (12, 20)
         assert s.image.dtype == np.float32 and s.mask.dtype == np.int64
         assert set(np.unique(s.mask)) <= set(range(4))
+
+    @pytest.mark.parametrize("h, w, classes, digest", [
+        (16, 16, 1, "aff7619f01a194c103be2f83eba10c57a2aeac370b448cb0200b1ef672d95114"),
+        (16, 16, 3, "24617811945a9cfe759d144e9c8349280f47a9c41d9de2a0423d67763280d174"),
+        (12, 20, 1, "9ca425d8b570aa3313c93cb13dae78ba36190b761241a483aed39274e914d286"),
+        (12, 20, 3, "19ebb98d87e4499f1a37128a2d94684dabfa38433869970f7e528db4d1fe521b"),
+        (128, 128, 1, "024b226bf516731e82fc9875b1a16120080c7574a69811c77b289f21d3d38bbe"),
+        (128, 128, 3, "78f5a41b0c4c75abd3842faeef8b07d9f647b5133a01ce2dd94d1fb392eb5d24"),
+    ])
+    def test_samples_pinned_bytewise(self, h, w, classes, digest):
+        """Mask and image bytes of four samples; any change to the generator's
+        arithmetic moves every dataset, so it must be deliberate."""
+        sha = hashlib.sha256()
+        for index in range(4):
+            s = make_sample(index, h, w, classes, seed=5)
+            sha.update(s.mask.tobytes())
+            sha.update(s.image.tobytes())
+        assert sha.hexdigest() == digest
 
     def test_zero_noise_mask_recoverable_by_threshold(self):
         s = make_sample(4, 32, 32, 1, seed=0, noise_sigma=0.0)
@@ -247,10 +266,73 @@ class TestMetrics:
         assert hausdorff(z, z) == 0.0
         assert hausdorff(one, z) == pytest.approx(math.hypot(31, 31))
 
+    @settings(max_examples=300)
     @given(pair=mask_pairs())
     def test_hausdorff_equals_exhaustive_scan(self, pair):
         pred, target = pair
         assert hausdorff(pred, target) == exhaustive_hausdorff(pred, target)
+
+    def test_hausdorff_rejects_masks_that_are_not_2d(self):
+        m = np.zeros((2, 4, 4), dtype=bool)
+        m[0, 1, 1] = True
+        with pytest.raises(ShapeError):
+            hausdorff(m, ~m)
+        with pytest.raises(ShapeError):
+            hausdorff(np.ones(5, dtype=bool), np.zeros(5, dtype=bool))
+
+    @staticmethod
+    def _explicit_pairs():
+        a = np.zeros((9, 11), dtype=bool)
+        a[2, :] = True                      # target rows from border to border
+        a[6, :] = True
+        b = np.zeros_like(a)
+        b[0, 4] = b[4, 0] = b[8, 10] = True
+        yield "border-to-border rows", a, b
+        c = np.zeros((12, 7), dtype=bool)
+        c[0:2, 1:3] = True                  # empty rows 2..9 between the parts
+        c[10:12, 5] = True
+        d = np.zeros_like(c)
+        d[5, :] = True
+        d[11, 0] = True
+        yield "empty rows between parts", c, d
+        e = np.zeros((1, 13), dtype=bool)
+        e[0, [0, 7]] = True
+        f = np.zeros_like(e)
+        f[0, [3, 12]] = True
+        yield "1xW", e, f
+        yield "Hx1", e.T.copy(), f.T.copy()
+        diag = np.eye(300, dtype=bool)      # more than BLOCK_PAIRS pairs, the worst
+        column = np.zeros_like(diag)        # in the last block; distances past 2^15
+        column[:, 0] = True
+        yield "diagonal against a column", diag, column
+        for seed in (0, 1):
+            s = make_sample(0, 64, 64, 2, seed=seed).mask
+            t = make_sample(0, 64, 64, 2, seed=seed + 7).mask
+            for label in (1, 2):
+                yield f"generator 64x64 seed {seed} label {label}", s == label, t == label
+
+    def test_hausdorff_explicit_cases_equal_exhaustive_scan(self):
+        for name, a, b in self._explicit_pairs():
+            assert hausdorff(a, b) == exhaustive_hausdorff(a, b), name
+            assert hausdorff(b, a) == exhaustive_hausdorff(b, a), name
+
+    def test_directed_distance_zero_when_source_inside_target(self):
+        target = np.zeros((8, 8), dtype=bool)
+        target[1:7, 1:7] = True
+        source = np.zeros_like(target)
+        source[2:5, 3:6] = True
+        assert _directed_sq(source, target) == 0
+        assert hausdorff(source, target) == exhaustive_hausdorff(source, target)
+
+    def test_hausdorff_int64_branch_on_wide_image(self):
+        """(W-1)^2 >= 2^31 at 1x50000 forces 64-bit squared distances."""
+        a = np.zeros((1, 50000), dtype=bool)
+        b = np.zeros_like(a)
+        a[0, [0, 49999]] = True
+        b[0, 3] = True
+        assert hausdorff(a, b) == exhaustive_hausdorff(a, b) == 49996.0
+        b[0, 25000] = True
+        assert hausdorff(a, b) == exhaustive_hausdorff(a, b) == 24999.0
 
     def test_hausdorff_memory_bounded_at_256(self):
         rng = np.random.default_rng(0)
