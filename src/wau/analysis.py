@@ -25,8 +25,9 @@ the quadratic attention term linear in map area: the decoders are
 identical except for the window, so the flop ratio of their attention
 terms is (H2*W2)/M2^2. All arithmetic is exact integer arithmetic.
 
-measure() runs a real forward pass with counters attached to the kernels
-and insists the tally equals the closed form; a mismatch raises.
+measure() runs one real decode with counters attached to the kernels and
+insists the tally equals the closed form; a mismatch raises. Both kinds run
+the same windowed decode: "ad" is the one whose window spans the whole map.
 """
 from __future__ import annotations
 
@@ -115,13 +116,6 @@ class CostReport:
                 f"{self.analytic_flops},{self.measured_flops},"
                 f"{self.analytic_mem_elems},{self.measured_peak_elems}")
 
-    def mem_bytes(self, precision: str = "single") -> int:
-        """Informational byte figure: peak elements times scalar width."""
-        widths = {"single": 4, "double": 8}
-        if precision not in widths:
-            raise ContractError(f"unknown precision {precision!r}")
-        return self.analytic_mem_elems * widths[precision]
-
 
 def measure(kind: str, h2: int, w2: int, c: int, k: int, n: int,
             m2: int | None = None, seed: int = 0) -> CostReport:
@@ -146,7 +140,7 @@ def measure(kind: str, h2: int, w2: int, c: int, k: int, n: int,
         analytic = flops_ad(h2, w2, c, k, n)
         analytic_mem = mem_ad(h2, w2, c, n)
 
-    cfg = WauConfig(ratio=n, window=m2 if m2 is not None else h2, heads=1,
+    cfg = WauConfig(ratio=n, window=m2 if kind == "wad" else None, heads=1,
                     proj_kernel=k, out_kernel=k)
     rng = np.random.default_rng(seed)
     dec = AttentionDecoder(cfg, lateral_channels=c, source_channels=c, rng=rng)
@@ -155,10 +149,7 @@ def measure(kind: str, h2: int, w2: int, c: int, k: int, n: int,
 
     meter = metering.CostMeter()
     with meter.active():
-        if kind == "wad":
-            dec.wad_forward(lateral, source)
-        else:
-            dec.ad_forward(lateral, source)
+        dec.wad_forward(lateral, source)
 
     measured = meter.macs_for(_FLOP_TAGS)
     report = CostReport(kind=kind, h2=h2, w2=w2, c=c, k=k, n=n, m2=m2,

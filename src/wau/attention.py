@@ -2,23 +2,22 @@
 keys and values from the low-resolution map being upsampled.
 
 Both maps are layer-normalized over channels and projected by convolutions
-(distinct weights for k and v). Attention runs per head over channel
-splits; the windowed form restricts each query window to its spatially
-aligned kv window, the global form lets every query attend to every kv
+(distinct weights for k and v) to the lateral width. Attention runs per
+head over channel splits and restricts each query window to its spatially
+aligned kv window. Global attention is the same decode with `window=None`:
+one window spanning the whole map, so every query attends to every kv
 position. A final convolution mixes the merged context map. No positional
 encoding is added and windows are never shifted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import metering
 from .conv import ConvSpec
-from .tensor import (ContractError, ShapeError, Tensor, layer_norm, reshape, tensor,
-                     window_attention, zeros)
+from .tensor import ContractError, ShapeError, Tensor, layer_norm, tensor, window_attention, zeros
 from .windows import WindowGrid, merge, paired_partition, partition
 
 
@@ -26,16 +25,15 @@ from .windows import WindowGrid, merge, paired_partition, partition
 class WauConfig:
     """Knobs for one upsampling stage.
 
-    ratio      upsampling factor n (output is n times the source map)
-    window     kv window size; query windows are ratio * window
-    heads      attention heads; must divide the embedding width
-    embed_dim  channel width of q/k/v; None derives it from the lateral map
+    ratio   upsampling factor n (output is n times the source map)
+    window  kv window size; query windows are ratio * window. None is one
+            window spanning the source map: global attention
+    heads   attention heads; must divide the lateral width
     """
 
     ratio: int = 2
-    window: int = 4
+    window: int | None = 4
     heads: int = 4
-    embed_dim: int | None = None
     proj_variant: str = "regular"
     proj_groups: int = 1
     proj_kernel: int = 3
@@ -45,36 +43,26 @@ class WauConfig:
     def validate(self) -> None:
         if self.ratio < 2:
             raise ContractError(f"ratio must be >= 2, got {self.ratio}")
-        if self.window < 1:
+        if self.window is not None and self.window < 1:
             raise ContractError(f"window must be >= 1, got {self.window}")
         if self.heads < 1:
             raise ContractError(f"heads must be >= 1, got {self.heads}")
         for k in (self.proj_kernel, self.out_kernel):
             if k < 1 or k % 2 == 0:
                 raise ContractError(f"kernels must be odd and positive, got {k}")
-        if self.embed_dim is not None and self.embed_dim % self.heads:
-            raise ContractError(
-                f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
-
-    @property
-    def query_window(self) -> int:
-        return self.ratio * self.window
 
 
 @dataclass
 class AttentionRecord:
-    """Detached attention weights captured during one windowed forward."""
+    """Detached attention weights captured during one decode."""
 
     weights: np.ndarray                 # (num_windows, heads, Tq, Tkv)
     coords: list[tuple[int, int, int]]  # (batch, tile_row, tile_col) per window
     layer_index: int
     ratio: int
-    window: int
+    window: int | None
     heads: int
     query_shape: tuple[int, int, int, int]
-
-    def row_sums(self) -> np.ndarray:
-        return self.weights.sum(axis=-1)
 
 
 class AttentionDecoder:
@@ -83,15 +71,11 @@ class AttentionDecoder:
     def __init__(self, cfg: WauConfig, lateral_channels: int, source_channels: int,
                  rng: np.random.Generator, layer_index: int = 0):
         cfg.validate()
-        embed = cfg.embed_dim if cfg.embed_dim is not None else lateral_channels
-        if embed != lateral_channels:
+        if lateral_channels % cfg.heads:
             raise ContractError(
-                f"embed_dim {embed} must equal the lateral channel count "
-                f"{lateral_channels}; leave it unset to derive it")
-        if embed % cfg.heads:
-            raise ContractError(f"embed_dim {embed} not divisible by heads {cfg.heads}")
+                f"heads {cfg.heads} does not divide the lateral width {lateral_channels}")
         self.cfg = cfg
-        self.embed_dim = embed
+        self.embed_dim = lateral_channels
         self.lateral_channels = lateral_channels
         self.source_channels = source_channels
         self.layer_index = layer_index
@@ -105,13 +89,14 @@ class AttentionDecoder:
         self.ln_kv_beta = zeros((source_channels,), precision=p, requires_grad=True)
 
         def proj(in_ch):
-            return ConvSpec(cfg.proj_variant, in_ch, embed, cfg.proj_kernel, rng,
+            return ConvSpec(cfg.proj_variant, in_ch, lateral_channels, cfg.proj_kernel, rng,
                             groups=cfg.proj_groups, precision=p)
 
         self.q_proj = proj(lateral_channels)
         self.k_proj = proj(source_channels)
         self.v_proj = proj(source_channels)
-        self.out_conv = ConvSpec("regular", embed, embed, cfg.out_kernel, rng, precision=p)
+        self.out_conv = ConvSpec("regular", lateral_channels, lateral_channels, cfg.out_kernel,
+                                 rng, precision=p)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         out = [("ln_q.gamma", self.ln_q_gamma), ("ln_q.beta", self.ln_q_beta),
@@ -147,47 +132,23 @@ class AttentionDecoder:
         metering.track_buffer("v", v.size)
         return q, k, v
 
-    def _context_windows(self, lateral: Tensor, source: Tensor
-                         ) -> tuple[Tensor, WindowGrid, Callable[[], np.ndarray]]:
-        q, k, v = self.project_qkv(lateral, source)
-        qgrid, kgrid = paired_partition(q, k, self.cfg.window, self.cfg.ratio)
-        vgrid = partition(v, self.cfg.window)
-        ctx, w = window_attention(qgrid.blocks, kgrid.blocks, vgrid.blocks, self.cfg.heads)
-        return ctx, qgrid, w
-
-    def wad_features(self, lateral: Tensor, source: Tensor) -> Tensor:
-        """Windowed attention context merged to map form, before out_conv.
+    def wad_forward(self, lateral: Tensor, source: Tensor) -> Tensor:
+        """Windowed attention decode, global when `cfg.window` is None:
+        (N, E, nH, nW) from source (N, C, H, W).
 
         Inside `metering.recording()` it observes an AttentionRecord under
         "attention".
         """
-        ctx, qgrid, w = self._context_windows(lateral, source)
-        merged = merge(WindowGrid(ctx, qgrid.source_shape, qgrid.window))
+        q, k, v = self.project_qkv(lateral, source)
+        window = self.cfg.window
+        qgrid, kgrid = paired_partition(q, k, window, self.cfg.ratio)
+        vgrid = partition(v, window)
+        ctx, w = window_attention(qgrid.blocks, kgrid.blocks, vgrid.blocks, self.cfg.heads)
+        feats = merge(WindowGrid(ctx, qgrid.source_shape, qgrid.window))
         metering.observe("attention", lambda: AttentionRecord(
             weights=w(), coords=qgrid.coords(), layer_index=self.layer_index,
-            ratio=self.cfg.ratio, window=self.cfg.window, heads=self.cfg.heads,
-            query_shape=merged.shape))
-        return merged
-
-    def wad_forward(self, lateral: Tensor, source: Tensor) -> Tensor:
-        """Windowed attention decode: (N, E, nH, nW) from source (N, C, H, W)."""
-        feats = self.wad_features(lateral, source)
-        with metering.tagged("out_conv"):
-            out = self.out_conv(feats)
-        metering.release_buffers()
-        return out
-
-    def ad_forward(self, lateral: Tensor, source: Tensor) -> Tensor:
-        """Global attention decode: every query attends to all kv positions.
-
-        Reference form the windowed decoder must reproduce when the window
-        spans the whole source map. Quadratic cost in source pixels.
-        """
-        q, k, v = self.project_qkv(lateral, source)
-        N, E = q.shape[:2]
-        q_tok, k_tok, v_tok = (reshape(t, (N, E, t.shape[2] * t.shape[3])) for t in (q, k, v))
-        ctx, _ = window_attention(q_tok, k_tok, v_tok, self.cfg.heads)
-        feats = reshape(ctx, q.shape)
+            ratio=self.cfg.ratio, window=window, heads=self.cfg.heads,
+            query_shape=feats.shape))
         with metering.tagged("out_conv"):
             out = self.out_conv(feats)
         metering.release_buffers()

@@ -150,8 +150,8 @@ def _validate(cfg: RunConfig) -> None:
     m, d, t, a = cfg.model, cfg.data, cfg.train, cfg.analysis
     positive = {
         "[model] depth": m.depth, "[model] base_channels": m.base_channels,
-        "[model] in_channels": m.in_channels, "[model] heads": m.heads,
-        "[model] window": m.window, "[model] proj_groups": m.proj_groups,
+        "[model] heads": m.heads, "[model] window": m.window,
+        "[model] proj_groups": m.proj_groups,
         "[data] train_count": d.train_count, "[data] val_count": d.val_count,
         "[data] height": d.height, "[data] width": d.width,
         "[data] classes": d.classes,
@@ -168,6 +168,11 @@ def _validate(cfg: RunConfig) -> None:
                     ("[analysis] kernel", a.kernel)):
         if v < 1 or v % 2 == 0:
             raise ConfigError(f"{name} must be odd and positive, got {v}")
+    if m.in_channels != 1:
+        # Kept as a key because every checkpoint's config.ini carries it.
+        raise ConfigError(
+            f"[model] in_channels must be 1 (the generated images have one "
+            f"channel), got {m.in_channels}")
     if t.lr <= 0:
         raise ConfigError(f"[train] lr must be positive, got {t.lr}")
     if t.warmup_epochs < 0 or t.warmup_epochs >= t.epochs:

@@ -216,15 +216,6 @@ class Tape:
         self._seen.clear()
 
 
-def backward(loss: Tensor, tape: Tape | None = None) -> None:
-    """Propagate d(loss)/d(leaf) into .grad of every leaf ancestor of loss."""
-    if tape is None:
-        if not _TAPES:
-            raise ContractError("backward called with no active tape")
-        tape = _TAPES[-1]
-    tape.backward(loss)
-
-
 def record(name: str, inputs: Sequence[Tensor], out: Tensor, fn: Callable) -> None:
     """Attach a backward rule for `out` to the active tape, if any.
 
@@ -247,7 +238,7 @@ def _match_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Elementwise and structural operations
+# Elementwise operations and reductions
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -287,21 +278,6 @@ def relu(a: Tensor) -> Tensor:
         acc.add(a, g * (a.data > 0))
 
     record("relu", (a,), out, fn)
-    return out
-
-
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    try:
-        out_data = a.data.reshape(shape)
-    except ValueError:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    out = Tensor(out_data)
-
-    def fn(g, acc):
-        acc.add(a, g.reshape(a.shape))
-
-    record("reshape", (a,), out, fn)
     return out
 
 

@@ -59,10 +59,8 @@ class ToyNet:
         self.decoder = []
         src_ch = widths[-1]
         for i in range(depth):
-            lat_ch = widths[depth - 1 - i]
-            if upsampler in ("wau", "wad_only") and lat_ch % heads:
-                raise ContractError(f"heads {heads} does not divide stage width {lat_ch}")
-            stage = build_stage(upsampler, cfg, src_ch, lat_ch, rng, layer_index=i)
+            stage = build_stage(upsampler, cfg, src_ch, widths[depth - 1 - i], rng,
+                                layer_index=i)
             self.decoder.append(stage)
             src_ch = stage.out_channels
 

@@ -1,11 +1,13 @@
-"""Square window partitioning of feature maps into token blocks.
+"""Window partitioning of feature maps into token blocks.
 
 A map (N, C, H, W) splits into non-overlapping M x M windows ordered
-batch-major then raster (top-left to bottom-right). Each window is a
-channel-major block (C, M*M): one row per channel, tokens row-major within
-the window, the layout attention consumes, so splitting a block into heads
-is a free reshape. Partition and merge are exact inverse permutations of
-the underlying scalars, so a round trip is bitwise lossless.
+batch-major then raster (top-left to bottom-right); a window of None is
+one window spanning the whole map, H x W, which makes windowed attention
+global attention. Each window is a channel-major block (C, tokens): one row
+per channel, tokens row-major within the window, the layout attention
+consumes, so splitting a block into heads is a free reshape. Partition and
+merge are exact inverse permutations of the underlying scalars, so a round
+trip is bitwise lossless.
 """
 from __future__ import annotations
 
@@ -20,14 +22,21 @@ from .tensor import ShapeError, Tensor, record
 class WindowGrid:
     """Window token blocks plus the geometry needed to merge them back."""
 
-    blocks: Tensor            # (num_windows, C, M*M), channel-major
+    blocks: Tensor            # (num_windows, C, tokens per window), channel-major
     source_shape: tuple[int, int, int, int]
-    window: int
+    window: int | None        # None: one window spanning the map
+
+    @property
+    def size(self) -> tuple[int, int]:
+        """Window height and width."""
+        if self.window is None:
+            return self.source_shape[2], self.source_shape[3]
+        return self.window, self.window
 
     @property
     def tiles(self) -> tuple[int, int]:
-        _, _, H, W = self.source_shape
-        return H // self.window, W // self.window
+        (_, _, H, W), (mh, mw) = self.source_shape, self.size
+        return H // mh, W // mw
 
     @property
     def num_windows(self) -> int:
@@ -43,23 +52,24 @@ class WindowGrid:
                 for c in range(tw)]
 
 
-def partition(x: Tensor, window: int) -> WindowGrid:
+def partition(x: Tensor, window: int | None) -> WindowGrid:
     if x.ndim != 4:
         raise ShapeError(f"partition expects (N, C, H, W), got {x.shape}")
     N, C, H, W = x.shape
-    if window < 1:
-        raise ShapeError(f"window must be >= 1, got {window}")
-    if H % window or W % window:
-        raise ShapeError(f"window {window} does not divide H={H}, W={W}")
-    th, tw = H // window, W // window
-    M = window
-    out_data = (x.data.reshape(N, C, th, M, tw, M)
+    if window is not None:
+        if window < 1:
+            raise ShapeError(f"window must be >= 1, got {window}")
+        if H % window or W % window:
+            raise ShapeError(f"window {window} does not divide H={H}, W={W}")
+    mh, mw = (H, W) if window is None else (window, window)
+    th, tw = H // mh, W // mw
+    out_data = (x.data.reshape(N, C, th, mh, tw, mw)
                 .transpose(0, 2, 4, 1, 3, 5)
-                .reshape(N * th * tw, C, M * M))
+                .reshape(N * th * tw, C, mh * mw))
     out = Tensor(np.ascontiguousarray(out_data))
 
     def fn(g, acc):
-        acc.add(x, g.reshape(N, th, tw, C, M, M)
+        acc.add(x, g.reshape(N, th, tw, C, mh, mw)
                 .transpose(0, 3, 1, 4, 2, 5)
                 .reshape(N, C, H, W))
 
@@ -69,35 +79,35 @@ def partition(x: Tensor, window: int) -> WindowGrid:
 
 def merge(grid: WindowGrid) -> Tensor:
     N, C, H, W = grid.source_shape
-    M = grid.window
-    th, tw = grid.tiles
+    (th, tw), (mh, mw) = grid.tiles, grid.size
     blocks = grid.blocks
-    if blocks.shape != (N * th * tw, C, M * M):
+    if blocks.shape != (N * th * tw, C, mh * mw):
         raise ShapeError(
             f"merge: blocks shape {blocks.shape} inconsistent with grid "
-            f"{grid.source_shape} window {M}")
-    out_data = (blocks.data.reshape(N, th, tw, C, M, M)
+            f"{grid.source_shape} window {grid.window}")
+    out_data = (blocks.data.reshape(N, th, tw, C, mh, mw)
                 .transpose(0, 3, 1, 4, 2, 5)
                 .reshape(N, C, H, W))
     out = Tensor(np.ascontiguousarray(out_data))
 
     def fn(g, acc):
-        acc.add(blocks, g.reshape(N, C, th, M, tw, M)
+        acc.add(blocks, g.reshape(N, C, th, mh, tw, mw)
                 .transpose(0, 2, 4, 1, 3, 5)
-                .reshape(N * th * tw, C, M * M))
+                .reshape(N * th * tw, C, mh * mw))
 
     record("window_merge", (blocks,), out, fn)
     return out
 
 
-def paired_partition(query_map: Tensor, kv_map: Tensor, kv_window: int,
+def paired_partition(query_map: Tensor, kv_map: Tensor, kv_window: int | None,
                      ratio: int) -> tuple[WindowGrid, WindowGrid]:
     """Partition a query map and a kv map into spatially aligned windows.
 
     The query map must be exactly `ratio` times the kv map in each spatial
     dimension; query windows of size ratio*kv_window then cover the same
     image region as their kv counterparts, and the two grids have identical
-    window counts in identical order.
+    window counts in identical order. A kv_window of None pairs the two
+    whole maps.
     """
     if query_map.ndim != 4 or kv_map.ndim != 4:
         raise ShapeError("paired_partition expects rank-4 maps")
@@ -108,8 +118,7 @@ def paired_partition(query_map: Tensor, kv_map: Tensor, kv_window: int,
     if qh != ratio * kh or qw != ratio * kw:
         raise ShapeError(
             f"query map {qh}x{qw} is not {ratio}x the kv map {kh}x{kw}")
-    if kh % kv_window or kw % kv_window:
+    if kv_window is not None and (kh % kv_window or kw % kv_window):
         raise ShapeError(f"window {kv_window} does not divide kv map {kh}x{kw}")
-    qgrid = partition(query_map, ratio * kv_window)
-    kgrid = partition(kv_map, kv_window)
-    return qgrid, kgrid
+    q_window = None if kv_window is None else ratio * kv_window
+    return partition(query_map, q_window), partition(kv_map, kv_window)

@@ -89,13 +89,6 @@ class TestMeasure:
         rep = measure("wad", 8, 8, 16, 3, 2, m2=4)
         assert "1605632" in rep.csv_row()
 
-    def test_mem_bytes_scales_with_precision(self):
-        rep = measure("wad", 8, 8, 16, 3, 2, m2=4)
-        assert rep.mem_bytes("single") == 10_240 * 4
-        assert rep.mem_bytes("double") == 10_240 * 8
-        with pytest.raises(ContractError):
-            rep.mem_bytes("half")
-
 
 class TestCountParams:
     def test_single_conv_with_bias(self, rng):

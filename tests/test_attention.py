@@ -1,11 +1,13 @@
 """Cross-attention decoder: projections, window/global agreement, records."""
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import naive_attention
 from wau import metering
 from wau.attention import AttentionDecoder, WauConfig
-from wau.tensor import ContractError, NumericsError, Tape, sum_all, tensor
+from wau.tensor import ContractError, NumericsError, Tape, mul, sum_all, tensor
 from wau.windows import paired_partition, partition
 
 
@@ -78,11 +80,6 @@ class TestProjections:
         assert not np.array_equal(dec.k_proj.weight.numpy(),
                                   dec.v_proj.weight.numpy())
 
-    def test_embed_dim_must_match_lateral_channels(self):
-        cfg = WauConfig(embed_dim=4, heads=1, precision="double")
-        with pytest.raises(ContractError):
-            AttentionDecoder(cfg, 8, 16, np.random.default_rng(0))
-
 
 class TestWadForward:
     def test_output_shape_fig3(self):
@@ -92,8 +89,8 @@ class TestWadForward:
         assert out.shape == (1, 8, 4, 4)
 
     def test_heads_must_divide_embed(self):
-        with pytest.raises(ContractError):
-            WauConfig(heads=3, embed_dim=8).validate()
+        with pytest.raises(ContractError, match="heads 3 .* width 8"):
+            make_decoder(lat_c=8, heads=3)
 
     def test_window_must_divide_kv_map(self):
         _, dec = make_decoder(window=3)
@@ -105,12 +102,12 @@ class TestWadForward:
         cfg, dec = make_decoder(lat_c=4, src_c=4, window=2)
         lat = maps(lat_c=4)[0]
         z = tensor(np.full((1, 4, 2, 2), 3.0), precision="double")
+        dirac(dec.out_conv)   # read the context map itself
         out, rec = recorded_wad_forward(dec, lat, z)
         m2sq = cfg.window ** 2
         np.testing.assert_allclose(rec.weights, 1.0 / m2sq, atol=1e-12)
-        # pre-output-conv window rows must all equal the value mean
-        merged = dec.wad_features(lat, z)
-        rows = merged.numpy()[0].reshape(4, -1)
+        # window rows must all equal the value mean
+        rows = out.numpy()[0].reshape(4, -1)
         np.testing.assert_allclose(rows - rows[:, :1], 0.0, atol=1e-12)
 
     def test_record_contents(self):
@@ -125,22 +122,24 @@ class TestWadForward:
     def test_recorded_weights_are_the_naive_softmax(self):
         _, dec = make_decoder(lat_c=4, src_c=4, heads=2, window=2)
         lat, z = maps(lat_c=4, src_c=4, h=4, w=4)
-        with metering.recording() as trace:
-            dec.wad_features(lat, z)
-        (rec,) = trace["attention"]
+        dirac(dec.out_conv)
+        out, rec = recorded_wad_forward(dec, lat, z)
         q, k, v = dec.project_qkv(lat, z)
         qg, kg = paired_partition(q, k, 2, 2)
-        _, want = naive_attention(qg.blocks.data, kg.blocks.data,
-                                  partition(v, 2).blocks.data, 2)
+        ctx, want = naive_attention(qg.blocks.data, kg.blocks.data,
+                                    partition(v, 2).blocks.data, 2)
         np.testing.assert_allclose(rec.weights, want, atol=1e-12)
         assert (rec.weights >= 0).all()
-        np.testing.assert_allclose(rec.row_sums(), 1.0, atol=1e-12)
+        np.testing.assert_allclose(rec.weights.sum(-1), 1.0, atol=1e-12)
+        # the context of query window (0, 1, 0) sits at rows 4..8, cols 0..4
+        np.testing.assert_allclose(out.numpy()[0, :, 4:8, 0:4].reshape(4, 16), ctx[2],
+                                   atol=1e-12)
 
     def test_rows_stochastic(self):
         _, dec = make_decoder(heads=2, window=2)
         lat, z = maps(h=4, w=4)
         _, rec = recorded_wad_forward(dec, lat, z)
-        np.testing.assert_allclose(rec.row_sums(), 1.0, atol=1e-12)
+        np.testing.assert_allclose(rec.weights.sum(-1), 1.0, atol=1e-12)
 
     def test_overflowing_scores_name_the_attention_op(self):
         _, dec = make_decoder(lat_c=4, src_c=4, precision="single")
@@ -165,19 +164,71 @@ class TestWadForward:
 
 class TestGlobalAgreement:
     @pytest.mark.parametrize("h,c,heads", [(2, 4, 1), (4, 8, 2), (2, 8, 2)])
-    def test_wad_with_full_window_equals_ad(self, h, c, heads):
-        cfg, dec = make_decoder(lat_c=c, src_c=c, heads=heads, window=h)
+    def test_wad_with_full_window_equals_global(self, h, c, heads):
+        _, dec = make_decoder(lat_c=c, src_c=c, heads=heads, window=h)
+        _, glob = make_decoder(lat_c=c, src_c=c, heads=heads, window=None)
         lat, z = maps(lat_c=c, src_c=c, h=h, w=h, seed=h * 10 + c)
         wad = dec.wad_forward(lat, z).numpy()
-        ad = dec.ad_forward(lat, z).numpy()
+        ad = glob.wad_forward(lat, z).numpy()
         np.testing.assert_allclose(wad, ad, atol=1e-10)
 
     def test_windowed_differs_from_global_when_windows_are_proper(self):
-        cfg, dec = make_decoder(lat_c=4, src_c=4, window=2)
+        _, dec = make_decoder(lat_c=4, src_c=4, window=2)
+        _, glob = make_decoder(lat_c=4, src_c=4, window=None)
         lat, z = maps(lat_c=4, src_c=4, h=4, w=4)
         wad = dec.wad_forward(lat, z).numpy()
-        ad = dec.ad_forward(lat, z).numpy()
+        ad = glob.wad_forward(lat, z).numpy()
         assert np.abs(wad - ad).max() > 1e-6
+
+    @pytest.mark.parametrize("h,w,ratio,heads", [(4, 6, 2, 2), (2, 3, 3, 1), (2, 2, 3, 4)])
+    def test_global_context_is_the_naive_attention(self, h, w, ratio, heads):
+        _, dec = make_decoder(lat_c=8, src_c=4, heads=heads, ratio=ratio, window=None)
+        dirac(dec.out_conv)   # read the context map itself
+        lat, z = maps(lat_c=8, src_c=4, h=h, w=w, ratio=ratio)
+        out, rec = recorded_wad_forward(dec, lat, z)
+        q, k, v = (t.numpy().reshape(1, 8, -1) for t in dec.project_qkv(lat, z))
+        ctx, weights = naive_attention(q, k, v, heads)
+        np.testing.assert_allclose(out.numpy(), ctx.reshape(out.shape), atol=1e-12)
+        np.testing.assert_allclose(rec.weights, weights, atol=1e-12)
+
+    def test_global_record_is_one_window_per_item(self):
+        _, dec = make_decoder(lat_c=4, src_c=4, heads=2, ratio=3, window=None)
+        rng = np.random.default_rng(2)
+        lat = tensor(rng.normal(size=(2, 4, 12, 18)), precision="double")
+        z = tensor(rng.normal(size=(2, 4, 4, 6)), precision="double")
+        _, rec = recorded_wad_forward(dec, lat, z)
+        assert rec.coords == [(0, 0, 0), (1, 0, 0)]
+        assert rec.weights.shape == (2, 2, 9 * 24, 24)
+        assert rec.window is None and rec.query_shape == (2, 4, 12, 18)
+
+    # (h2, w2, ratio, heads, lateral width, source width)
+    DIGEST_CONFIGS = [(4, 6, 2, 1, 4, 6), (2, 3, 3, 2, 4, 4), (4, 4, 2, 3, 6, 6),
+                      (2, 4, 2, 4, 8, 4)]
+
+    def test_global_decode_is_bitwise_the_reference(self):
+        # sha256 over outputs and every input and parameter gradient of the
+        # global decode, as computed by the former dedicated global decoder
+        # (tokens made by reshaping the whole maps) before it was folded into
+        # the windowed path.
+        digest = hashlib.sha256()
+        for precision in ("single", "double"):
+            for h2, w2, n, heads, lat_c, src_c in self.DIGEST_CONFIGS:
+                rng = np.random.default_rng([h2, w2, n, heads])
+                cfg = WauConfig(ratio=n, window=None, heads=heads, precision=precision)
+                dec = AttentionDecoder(cfg, lat_c, src_c, rng)
+                lat = tensor(rng.standard_normal((2, lat_c, n * h2, n * w2)),
+                             precision=precision, requires_grad=True)
+                src = tensor(rng.standard_normal((2, src_c, h2, w2)),
+                             precision=precision, requires_grad=True)
+                weights = tensor(rng.standard_normal((2, lat_c, n * h2, n * w2)),
+                                 precision=precision)
+                with Tape() as tape:
+                    out = dec.wad_forward(lat, src)
+                    tape.backward(sum_all(mul(out, weights)))
+                for arr in [out.data, lat.grad, src.grad] + [t.grad for _, t in dec.parameters()]:
+                    digest.update(arr.tobytes())
+        assert digest.hexdigest() == (
+            "83d9ae4ec2342f08b10b0676422e7ef44cac94eccaeb455a14e84ebe77747288")
 
     def test_batch_equivariance_bitwise(self):
         _, dec = make_decoder(lat_c=4, src_c=4, window=2, precision="single")

@@ -33,6 +33,26 @@ seed = 0
 """
 
 
+# `wau flops --sweep` stdout, pinned byte for byte: every column, not only
+# measured == analytic, must survive a change to the cost path.
+GOLDEN_FLOPS = {
+    "": (
+        "op,h2,w2,c,k,n,m2,flops_analytic,flops_measured,mem_analytic,mem_measured,attn_flops,flops_ratio\n"
+        "wad,8,8,16,3,2,4,1605632,1605632,10240,10240,131072,\n"
+        "wad,16,16,16,3,2,4,6422528,6422528,40960,40960,524288,4.0\n"
+        "wad,32,32,16,3,2,4,25690112,25690112,163840,163840,2097152,4.0\n"
+        "wad,64,64,16,3,2,4,102760448,102760448,655360,655360,8388608,4.0\n"
+    ),
+    "[analysis]\nop = ad\nh2 = 4\nw2 = 6\n": (
+        "op,h2,w2,c,k,n,m2,flops_analytic,flops_measured,mem_analytic,mem_measured,attn_flops,flops_ratio\n"
+        "ad,4,6,16,3,2,,626688,626688,4608,4608,73728,\n"
+        "ad,8,12,16,3,2,,3391488,3391488,46080,46080,1179648,5.411764705882353\n"
+        "ad,16,24,16,3,2,,27721728,27721728,626688,626688,18874368,8.173913043478262\n"
+        "ad,32,48,16,3,2,,337379328,337379328,9584640,9584640,301989888,12.170212765957446\n"
+    ),
+}
+
+
 class TestConfigParsing:
     def test_empty_text_is_all_defaults(self):
         assert parse_config_text("") == RunConfig()
@@ -173,6 +193,13 @@ class TestCliFlops:
         assert main(["flops"]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("text", list(GOLDEN_FLOPS), ids=["defaults", "ad_4x6"])
+    def test_sweep_stdout_is_golden(self, tmp_path, capsys, text):
+        ini = tmp_path / "flops.ini"
+        ini.write_text(text)
+        assert main(["flops", "--sweep", "--config", str(ini)]) == 0
+        assert capsys.readouterr().out == GOLDEN_FLOPS[text]
+
     def test_window_not_dividing_map_prints_nothing_and_exits_2(self, tmp_path,
                                                                  capsys):
         ini = tmp_path / "w3.ini"
@@ -270,6 +297,21 @@ class TestCliTrainEval:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"config error: [{section}] {key}")
+        assert not out.exists()
+
+    def test_train_rejects_multichannel_input_before_compute(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # The generator makes 1-channel images only.
+        def no_data(*args, **kwargs):
+            raise AssertionError("dataset generated for a rejected config")
+
+        monkeypatch.setattr("wau.toyseg.train.gen_dataset", no_data)
+        ini = tmp_path / "rgb.ini"
+        ini.write_text(TINY_INI.replace("[model]\n", "[model]\nin_channels = 3\n"))
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(ini), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: [model] in_channels")
         assert not out.exists()
 
     def test_resume_from_truncated_state_is_config_error(self, tmp_path, trained,

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from wau import metering
 from wau.attention import WauConfig
 from wau.conv import bilinear_upsample
 from wau.stage import (UPSAMPLERS, BilinearStage, TransposedStage, WadStage,
@@ -101,7 +102,9 @@ class TestVariants:
         rng = np.random.default_rng(1)
         z = tensor(rng.normal(size=(1, 8, 4, 4)), precision="double")
         lat = tensor(rng.normal(size=(1, 4, 16, 16)), precision="double")
-        out = stage.forward(z, lat)
+        with metering.recording() as trace:
+            out = stage.forward(z, lat)
         assert out.shape == (1, 4, 16, 16)
-        # query windows are ratio * kv window per side
-        assert stage.decoder.cfg.query_window == 8
+        # query windows are ratio * kv window = 8 per side
+        (rec,) = trace["attention"]
+        assert rec.weights.shape == (4, 2, 8 * 8, 2 * 2)

@@ -12,8 +12,7 @@ from conftest import naive_attention
 from wau.analysis import gradcheck
 from wau.tensor import (ContractError, NumericsError, ShapeError, Tape,
                         Tensor, add, layer_norm, mul, record, relu,
-                        reshape, sum_all, tensor, uniform_param, window_attention,
-                        zeros)
+                        sum_all, tensor, uniform_param, window_attention, zeros)
 
 fin32 = st.floats(-50, 50, width=32)
 
@@ -199,14 +198,6 @@ class TestTapeBackward:
         x.requires_grad = True
         y = mul(x, x)
         assert not y.requires_grad and y.grad is None
-
-    def test_permute_reshape_transpose_round_trip_grad(self, rng):
-        x = tensor(rng.normal(size=(2, 3, 4)).astype(np.float64))
-        x.requires_grad = True
-        with Tape() as tape:
-            z = reshape(x, (4, 6))
-            tape.backward(sum_all(z))
-        np.testing.assert_array_equal(x.grad, np.ones((2, 3, 4)))
 
     @given(x=hnp.arrays(np.float64, (4, 3),
                         elements=st.floats(-10, 10, width=64)))

@@ -45,10 +45,18 @@ class TestPartition:
         assert [c[0] for c in grid.coords()] == [0, 1]
 
     @given(n=st.integers(1, 3), c=st.integers(1, 4), th=st.integers(1, 3),
-           tw=st.integers(1, 3), m=st.sampled_from([1, 2, 4]))
+           tw=st.integers(1, 3), m=st.sampled_from([1, 2, 4, None]))
     def test_round_trip_bitwise(self, n, c, th, tw, m):
-        x = fmap(n, c, th * m, tw * m, seed=n * 100 + c)
+        # m = None: one window over a (usually non-square) map
+        x = fmap(n, c, th * (m or 2), tw * (m or 3), seed=n * 100 + c)
         np.testing.assert_array_equal(merge(partition(x, m)).numpy(), x.numpy())
+
+    def test_no_window_is_one_window_per_item(self):
+        x = fmap(2, 3, 4, 6)
+        grid = partition(x, None)
+        assert grid.tiles == (1, 1) and grid.size == (4, 6)
+        assert grid.coords() == [(0, 0, 0), (1, 0, 0)]
+        np.testing.assert_array_equal(grid.blocks.numpy(), x.numpy().reshape(2, 3, 24))
 
     def test_indivisible_rejected(self):
         with pytest.raises(ShapeError):
@@ -96,6 +104,14 @@ class TestPairedPartition:
         kwin = kg.blocks.numpy()[3].reshape(2, 2)
         np.testing.assert_array_equal(qwin, q.numpy()[0, 0, 4:8, 4:8])
         np.testing.assert_array_equal(kwin, kv.numpy()[0, 0, 2:4, 2:4])
+
+    def test_no_window_pairs_the_whole_maps(self):
+        q = fmap(2, 4, 12, 18)
+        kv = fmap(2, 8, 4, 6)
+        qg, kg = paired_partition(q, kv, kv_window=None, ratio=3)
+        assert qg.blocks.shape == (2, 4, 216)
+        assert kg.blocks.shape == (2, 8, 24)
+        assert qg.coords() == kg.coords() == [(0, 0, 0), (1, 0, 0)]
 
     def test_ratio_mismatch_rejected(self):
         with pytest.raises(ShapeError):
