@@ -179,7 +179,7 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(
             f"[train] warmup_epochs must lie in [0, epochs), got {t.warmup_epochs}")
     if t.checkpoint_every < 0:
-        raise ConfigError(f"[train] checkpoint_every must be >= 0")
+        raise ConfigError(f"[train] checkpoint_every must be >= 0, got {t.checkpoint_every}")
     if d.noise_sigma < 0:
         raise ConfigError(f"[data] noise_sigma must be >= 0, got {d.noise_sigma}")
     if a.ratio < 2:

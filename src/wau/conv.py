@@ -23,6 +23,10 @@ weight gradient walks the same blocks; an input that needs no gradient (the
 image) gets none. The transposed upsampler runs on the same kernel, as n*n
 phase convolutions followed by a pixel shuffle.
 
+A taped conv keeps nothing for its backward but its output and references
+to its input and weights: the backward re-pads the input (at padding 0 a
+reshape, not a copy) instead of holding the forward's padded copy.
+
 The kernel counts no multiply-adds itself (the phase form runs zero taps);
 each layer reports its logical count.
 
@@ -178,16 +182,15 @@ def _grouped_conv(x: Tensor, weight: Tensor, bias: Tensor | None, groups: int,
     # (k*k, G, co_g, ci_g): contiguous, so every tap product is a BLAS call
     taps = np.ascontiguousarray(
         weight.data.reshape(G, co_g, ci_g, k * k).transpose(3, 0, 1, 2))
-    xf = _pad_flat(xd, G, p)
     out_data = np.empty((N, C_out, H, W), dtype=xd.dtype)
-    _correlate(xf, taps, offsets, out_data, Wp,
+    _correlate(_pad_flat(xd, G, p), taps, offsets, out_data, Wp,
                None if bias is None else bias.data.reshape(1, C_out, 1, 1))
     _check_finite(out_data, op_name)
     out = Tensor(out_data)
 
     def fn(grad, acc):
-        # The upstream gradient padded like xf: output column i*Wp + j of the
-        # forward's grid sits at p*Wp + p + i*Wp + j.
+        # The upstream gradient padded like the input: output column i*Wp + j
+        # of the forward's grid sits at p*Wp + p + i*Wp + j.
         gf = _pad_flat(grad, G, p)
         if x.requires_grad:
             # The adjoint correlates gf with the transposed taps at mirrored
@@ -197,6 +200,9 @@ def _grouped_conv(x: Tensor, weight: Tensor, bias: Tensor | None, groups: int,
             _correlate(gf, taps.transpose(0, 1, 3, 2), [offsets[-1] - off for off in offsets],
                        gx, Wp, 0.0)
             acc.add(x, gx)
+        # Re-padded rather than kept from the forward, so a taped conv holds
+        # no padded copy of its input.
+        xf = _pad_flat(xd, G, p)
         g_wide = gf[..., p * Wp + p:]
         gw = np.zeros((k * k, N, G, co_g, ci_g), dtype=xd.dtype)
         rows = _block_rows(H, Wp)

@@ -338,12 +338,14 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
     The forward walks the blocks in groups of about _ATTENTION_GROUP_BYTES
     of weights, reusing one group-sized buffer, so each group's exp2 and
     products run while its scores are in cache; the full (B, heads, Tk, Tq)
-    array is never allocated, with or without a tape. Only the shifts and l
-    outlive the call. The backward rebuilds Q^ and K^ from q, k and the
-    kept shifts, and per group of half that size (it holds two buffers,
-    E and dS) recomputes E with the forward's per-block GEMM, so E is the
-    forward's bit for bit. With G the output gradient and
-    Ĝ = [G/l; -colsum((G/l)∘O)]:
+    array is never allocated, with or without a tape. For its backward the
+    op keeps only the shifts and l, beside its output and references to q,
+    k and v. The backward walks groups of half that size (it holds two
+    weight buffers, E and dS). Per group it builds Q^ (with the kept
+    shifts), K^ᵀ, V^ᵀ and Ĝ in group-sized scratch, so apart from dq, dk
+    and dv it allocates nothing full-size, and recomputes E with the
+    forward's per-block GEMM, so E is the forward's bit for bit. With G the
+    output gradient and Ĝ = [G/l; -colsum((G/l)∘O)]:
 
         dS = E∘(V^ᵀĜ),  dV = (G/l)·Eᵀ,  dQ = s·K·dS,  dK = s·Q·dSᵀ
 
@@ -369,10 +371,13 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
     t = s * _LOG2_E
     dtype = q.data.dtype
 
-    def augmented(x: np.ndarray, last, scale: float = 1.0) -> np.ndarray:
-        """(B, E, T) -> (B, h, d + 1, T): scale·x in each head's rows, then `last`."""
-        out = np.empty((B, h, d + 1, x.shape[2]), dtype=dtype)
-        np.multiply(x.reshape(B, h, d, -1), scale, out=out[:, :, :d])
+    def augmented(x: np.ndarray, last, scale: float = 1.0, out=None) -> np.ndarray:
+        """(n, E, T) -> (n, h, d + 1, T), into `out` if given: scale·x in each
+        head's rows, then `last`."""
+        n = x.shape[0]
+        if out is None:
+            out = np.empty((n, h, d + 1, x.shape[2]), dtype=dtype)
+        np.multiply(x.reshape(n, h, d, -1), scale, out=out[:, :, :d])
         out[:, :, d] = last
         return out
 
@@ -382,8 +387,8 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
         return ([slice(b, min(b + n, B)) for b in range(0, B, n)],
                 np.empty((n, h, Tk, Tq), dtype=dtype))
 
-    def exp_scores(kt, qh, i, w) -> None:
-        np.matmul(kt[i], qh[i], out=w)
+    def exp_scores(kt, qh, w) -> None:
+        np.matmul(kt, qh, out=w)
         np.exp2(w, out=w)
 
     kh, vh, qh = augmented(k.data, 1), augmented(v.data, 1), augmented(q.data, 0, t)
@@ -395,7 +400,7 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
     ohat = np.empty((B, h, d + 1, Tq), dtype=dtype)
 
     def apply(i, w) -> None:
-        exp_scores(kt, qh, i, w)
+        exp_scores(kt[i], qh[i], w)
         np.matmul(vh[i], w, out=ohat[i])
 
     fwd_groups, weights = groups(_ATTENTION_GROUP_BYTES)
@@ -421,33 +426,33 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
     _check_finite(out_data, "window_attention")
     out = Tensor(out_data)
 
-    def rebuilt() -> tuple[np.ndarray, np.ndarray]:
-        """K^ᵀ and Q^ as the forward left them, shifts included."""
-        return augmented(k.data, 1).swapaxes(-1, -2), augmented(q.data, shift, t)
-
     def recorded() -> np.ndarray:
-        w = np.matmul(*rebuilt())
-        np.exp2(w, out=w)
+        w = np.empty((B, h, Tk, Tq), dtype=dtype)
+        exp_scores(augmented(k.data, 1).swapaxes(-1, -2), augmented(q.data, shift, t), w)
         w /= l
         return w.swapaxes(-1, -2)
 
     def fn(g, acc):
         dq, dk, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
         dqh, dkh, dvh = (x.reshape(B, h, d, -1) for x in (dq, dk, dv))
-        ghat = np.empty((B, h, d + 1, Tq), dtype=dtype)
-        gl = np.divide(g.reshape(B, h, d, Tq), l, out=ghat[:, :, :d])
-        np.negative((gl * out_data.reshape(B, h, d, Tq)).sum(axis=2), out=ghat[:, :, d])
-        kt, qh = rebuilt()
-        vt = augmented(v.data, 1).swapaxes(-1, -2)
+        g4, o4 = g.reshape(B, h, d, Tq), out_data.reshape(B, h, d, Tq)
         q4, k4 = q.data.reshape(B, h, d, Tq), k.data.reshape(B, h, d, Tk)
         bwd_groups, e_buf = groups(_ATTENTION_GROUP_BYTES // 2)
         ds_buf = np.empty_like(e_buf)
+        qh_buf, gh_buf = np.empty((2, len(e_buf), h, d + 1, Tq), dtype=dtype)
+        kh_buf, vh_buf = np.empty((2, len(e_buf), h, d + 1, Tk), dtype=dtype)
         for b in bwd_groups:
-            e, ds = e_buf[:b.stop - b.start], ds_buf[:b.stop - b.start]
-            exp_scores(kt, qh, b, e)
-            np.matmul(vt[b], ghat[b], out=ds)
+            n = b.stop - b.start
+            e, ds, ghat = e_buf[:n], ds_buf[:n], gh_buf[:n]
+            qh = augmented(q.data[b], shift[b], t, qh_buf[:n])
+            kt = augmented(k.data[b], 1, out=kh_buf[:n]).swapaxes(-1, -2)
+            vt = augmented(v.data[b], 1, out=vh_buf[:n]).swapaxes(-1, -2)
+            gl = np.divide(g4[b], l[b], out=ghat[:, :, :d])
+            np.negative((gl * o4[b]).sum(axis=2), out=ghat[:, :, d])
+            exp_scores(kt, qh, e)
+            np.matmul(vt, ghat, out=ds)
             ds *= e
-            np.matmul(gl[b], e.swapaxes(-1, -2), out=dvh[b])
+            np.matmul(gl, e.swapaxes(-1, -2), out=dvh[b])
             np.matmul(k4[b], ds, out=dqh[b])
             np.matmul(q4[b], ds.swapaxes(-1, -2), out=dkh[b])
         dq *= s
@@ -465,6 +470,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     x is (N, C, H, W); gamma and beta are per-channel (C,). The variance is
     the biased estimate over C; eps floors it so constant inputs map to zero.
+
+    For its backward the op keeps only the per-position mean and 1/σ, each
+    (N, 1, H, W), besides its output. The backward rebuilds x̂ = (x - mean)·(1/σ)
+    with the forward's two ops, so bit for bit, and runs its chain in two
+    reused full-size buffers plus the input gradient.
     """
     if x.ndim != 4:
         raise ShapeError(f"layer_norm expects (N, C, H, W), got {x.shape}")
@@ -476,23 +486,32 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     _match_precision(x, beta, "layer_norm")
 
     mean = x.data.mean(axis=1, keepdims=True)
-    centered = x.data - mean
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    out_data = x.data - mean
+    var = (out_data * out_data).mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
+    out_data *= inv_std
     gm = gamma.data.reshape(1, C, 1, 1)
-    out_data = xhat * gm + beta.data.reshape(1, C, 1, 1)
+    out_data *= gm
+    out_data += beta.data.reshape(1, C, 1, 1)
     _check_finite(out_data, "layer_norm")
     out = Tensor(out_data)
 
     def fn(g, acc):
-        dxhat = g * gm
-        # Standard layer-norm backward over the channel axis.
-        m1 = dxhat.mean(axis=1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-        acc.add(x, inv_std * (dxhat - m1 - xhat * m2))
-        acc.add(gamma, (g * xhat).sum(axis=(0, 2, 3), dtype=x.data.dtype))
+        xhat = np.subtract(x.data, mean)
+        xhat *= inv_std
+        buf = np.multiply(g, xhat)
+        acc.add(gamma, buf.sum(axis=(0, 2, 3), dtype=x.data.dtype))
         acc.add(beta, g.sum(axis=(0, 2, 3), dtype=x.data.dtype))
+        # Standard layer-norm backward over the channel axis:
+        # gx = (1/σ)·(dx̂ - mean_c(dx̂) - x̂·mean_c(dx̂·x̂)), dx̂ = γ·g.
+        dxhat = np.multiply(g, gm, out=buf)
+        gx = np.multiply(dxhat, xhat)
+        m2 = gx.mean(axis=1, keepdims=True)
+        dxhat -= dxhat.mean(axis=1, keepdims=True)
+        xhat *= m2
+        np.subtract(dxhat, xhat, out=gx)
+        gx *= inv_std
+        acc.add(x, gx)
 
     record("layer_norm", (x, gamma, beta), out, fn)
     return out

@@ -59,7 +59,7 @@ def _directed_sq(src: np.ndarray, dst: np.ndarray) -> int:
     cols = np.arange(w, dtype=dtype)
     # Each row holds a dst pixel, so a side with none (a sentinel at least w
     # away) never wins the min below.
-    left =np.maximum.accumulate(np.where(hit, cols, -w), axis=1)
+    left = np.maximum.accumulate(np.where(hit, cols, -w), axis=1)
     right = np.minimum.accumulate(np.where(hit, cols, 2 * w)[:, ::-1], axis=1)[:, ::-1]
     gap = np.minimum(cols - left, right - cols)
     table = np.ascontiguousarray((gap * gap).T)

@@ -113,6 +113,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text(text)
 
+    def test_negative_checkpoint_every_message_names_the_value(self):
+        with pytest.raises(ConfigError, match=r"checkpoint_every must be >= 0, got -3$"):
+            parse_config_text("[train]\ncheckpoint_every = -3\n")
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "nope.ini")

@@ -3,11 +3,12 @@ import numpy as np
 import pytest
 
 from wau import metering
+from wau.analysis import gradcheck
 from wau.attention import WauConfig
 from wau.conv import bilinear_upsample
 from wau.stage import (UPSAMPLERS, BilinearStage, TransposedStage, WadStage,
                        WauStage, build_stage)
-from wau.tensor import ContractError, tensor
+from wau.tensor import ContractError, mul, tensor
 
 
 def dmaps(lat_c, src_c, h=2, w=2, ratio=2, seed=3, precision="double"):
@@ -57,6 +58,35 @@ class TestResidualSemantics:
 
     def test_no_adapter_when_channels_match(self):
         assert wau_stage(lat_c=4, src_c=4).residual_proj is None
+
+    def test_gradcheck_with_adapter(self):
+        stage = wau_stage(lat_c=4, src_c=6)
+        lat, z = dmaps(4, 6)
+        lat.requires_grad = z.requires_grad = True
+        weights = tensor(np.random.default_rng(5).normal(size=(1, 4, 4, 4)), precision="double")
+        report = gradcheck(lambda: mul(stage.forward(z, lat), weights),
+                           [("lateral", lat), ("source", z)] + stage.parameters())
+        assert any(n.startswith("residual_proj") for n, _ in stage.parameters())
+        assert report.max_rel_error < 1e-7, report
+
+    def test_zeroed_attention_with_adapter_is_the_adapted_interpolation(self):
+        for precision in ("single", "double"):
+            stage = wau_stage(lat_c=4, src_c=8, precision=precision)
+            stage.decoder.out_conv.weight.data[:] = 0.0
+            stage.decoder.out_conv.bias.data[:] = 0.0
+            stage.residual_proj.bias.data[:] = np.linspace(-1, 1, 4)
+            lat, z = dmaps(4, 8, precision=precision)
+            want = bilinear_upsample(stage.residual_proj(z), 2).numpy()
+            np.testing.assert_array_equal(stage.forward(z, lat).numpy(), want)
+
+    def test_adapter_first_matches_interpolate_first(self):
+        # Both maps are linear and each bilinear row sums to 1, so the order
+        # changes rounding only.
+        stage = wau_stage(lat_c=4, src_c=8)
+        stage.residual_proj.bias.data[:] = np.linspace(-1, 1, 4)
+        _, z = dmaps(4, 8, h=6, w=4)
+        want = stage.residual_proj(bilinear_upsample(z, 2)).numpy()
+        np.testing.assert_allclose(stage.residual(z).numpy(), want, rtol=0, atol=1e-12)
 
 
 class TestVariants:

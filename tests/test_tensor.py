@@ -100,6 +100,35 @@ class TestOpValues:
         np.testing.assert_allclose(y.mean(axis=1), 0.0, atol=1e-10)
         np.testing.assert_allclose(y.var(axis=1), 1.0, atol=1e-4)
 
+    def test_taped_layer_norm_keeps_only_output_and_statistics(self, rng):
+        # The backward rebuilds x̂ from the input, the mean and 1/σ.
+        N, C, H, W = 4, 8, 64, 64
+        x = tensor(rng.normal(size=(N, C, H, W)).astype(np.float32), requires_grad=True)
+        gamma, beta = (tensor(rng.normal(size=C).astype(np.float32), requires_grad=True)
+                       for _ in range(2))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                out = layer_norm(x, gamma, beta)
+                held = tracemalloc.get_traced_memory()[0] - before
+                tape.backward(sum_all(out))
+        finally:
+            tracemalloc.stop()
+        statistics = 2 * N * H * W * 4
+        assert held <= out.data.nbytes + statistics + 4096  # 4 KiB: Python objects
+        assert x.grad is not None
+
+    def test_layer_norm_gradcheck_weighted(self, rng):
+        x = tensor(rng.normal(size=(2, 5, 3, 4)) * 2 + 1, precision="double",
+                   requires_grad=True)
+        gamma, beta = (tensor(rng.normal(size=5), precision="double", requires_grad=True)
+                       for _ in range(2))
+        weights = tensor(rng.normal(size=(2, 5, 3, 4)), precision="double")
+        report = gradcheck(lambda: mul(layer_norm(x, gamma, beta), weights),
+                           [("x", x), ("gamma", gamma), ("beta", beta)])
+        assert report.max_rel_error < 1e-7
+
     def test_elementwise_shapes_must_match(self):
         with pytest.raises(ShapeError):
             add(tensor([1.0, 2.0]), tensor([[1.0], [2.0]]))
@@ -341,28 +370,47 @@ class TestWindowAttention:
         for t in taped:
             assert t.grad.shape == t.shape and np.abs(t.grad).max() > 0
 
-    def test_taped_call_holds_no_weights_array(self, rng):
+    def test_taped_call_holds_no_weights_array(self, rng, monkeypatch):
         # The same stage-2 shape on a tape: after the forward only the
-        # shifts and column sums may stay beyond inputs and output, and the
-        # backward rebuilds E per group instead of reading a kept copy.
+        # shifts and column sums may stay beyond inputs and output. The
+        # backward rebuilds E per group instead of reading a kept copy, and
+        # builds its operands per group too, so its own peak is its group
+        # scratch plus dq, dk and dv.
         B, Tq, Tk, E, h = 256, 256, 64, 8, 4
-        weight_bytes = B * h * Tq * Tk * 4
+        d, item = E // h, 4
+        weight_bytes = B * h * Tq * Tk * item
         q, k, v = (tensor(rng.normal(size=(B, E, T)).astype(np.float32), requires_grad=True)
                    for T in (Tq, Tk, Tk))
         g = tensor(rng.normal(size=(B, E, Tq)).astype(np.float32))
+        peaks = []
+
+        def measured(name, inputs, out, fn):
+            def probed(grad, acc):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                fn(grad, acc)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            record(name, inputs, out, probed)
+
+        monkeypatch.setattr(wau.tensor, "record", measured)
         tracemalloc.start()
         try:
             with Tape() as tape:
                 before = tracemalloc.get_traced_memory()[0]
                 out = window_attention(q, k, v, h)[0]
                 held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
-                loss = sum_all(mul(out, g))
-                tracemalloc.reset_peak()
-                start = tracemalloc.get_traced_memory()[0]
-                tape.backward(loss)
-                backward_peak = tracemalloc.get_traced_memory()[1] - start
+                monkeypatch.undo()
+                tape.backward(sum_all(mul(out, g)))
         finally:
             tracemalloc.stop()
-        assert held < weight_bytes / 8
-        assert backward_peak < weight_bytes / 4
+        assert held <= 2 * B * h * Tq * item + 4096  # the shifts and l
+        # Blocks per backward group, with E and dS buffers of that many blocks;
+        # then Q^ and Ĝ, K^ and V^, and the (G/l)∘O product, all group-sized.
+        n = min(B, max(1, wau.tensor._ATTENTION_GROUP_BYTES // 2 // (h * Tk * Tq * item)))
+        scratch = n * h * item * (2 * Tk * Tq + 2 * (d + 1) * (Tq + Tk) + d * Tq)
+        grads = q.data.nbytes + k.data.nbytes + v.data.nbytes
+        slack = 64 << 10  # column sums and array views per group: 30 KiB measured
+        (peak,) = peaks
+        assert peak <= scratch + grads + slack
+        assert scratch + grads < weight_bytes / 8
         assert all(np.abs(t.grad).max() > 0 for t in (q, k, v))

@@ -170,6 +170,40 @@ class TestModel:
         net = ToyNet(2, 4, "bilinear", 1)
         assert net.parameter_groups()["decoder"] == []
 
+    def test_taped_forward_holds_only_op_outputs_and_listed_state(self):
+        # A taped wau forward plus loss may hold its recorded op outputs and
+        # the state listed below, nothing else: an op that keeps a full-size
+        # copy for its backward (a padded input, a normalized map) fails here.
+        N, S, heads = 2, 64, 4
+        net = ToyNet(2, 8, "wau", 1, window=4, heads=heads, seed=0)
+        rng = np.random.default_rng(0)
+        x = tensor(rng.normal(size=(N, 1, S, S)).astype(np.float32))
+        masks = (rng.random((N, S, S)) < 0.3).astype(np.int64)
+        net.forward(x)  # fills the bilinear axis-matrix cache
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                seg_loss(net.forward(x), masks, 1)
+                held = tracemalloc.get_traced_memory()[0] - before
+                outputs = {id(n.out.data): n.out.data.nbytes for n in tape._nodes}
+        finally:
+            tracemalloc.stop()
+        item = 4
+        state = {
+            # mean and 1/σ per position of each stage's lateral and source map
+            "layer_norm": sum(2 * N * (S // s) ** 2 * item for s in (2, 4, 1, 2)),
+            # shifts and column sums per query and head, one attention per stage
+            "window_attention": sum(2 * heads * N * (S // s) ** 2 * item for s in (2, 1)),
+            # log-probabilities and one-hot, (N, 2, S, S) each
+            "seg_loss": 2 * N * 2 * S * S * item,
+            # each k > 1 conv weight re-laid as contiguous taps (1x1 ones are not copied)
+            "conv taps": sum(t.data.nbytes for n, t in net.parameters()
+                             if n.endswith("weight") and t.shape[-1] > 1),
+        }
+        slack = 64 << 10  # tensors, closures and tape nodes: 47 KiB measured
+        assert held <= sum(outputs.values()) + sum(state.values()) + slack
+
 
 class TestRecorder:
     @pytest.mark.parametrize("upsampler", ["bilinear", "transposed", "wad_only",
