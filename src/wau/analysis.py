@@ -252,7 +252,7 @@ def broken_scale(x: Tensor) -> Tensor:
     out = Tensor(x.data * 2.0)
 
     def fn(g, acc):
-        acc.add(x, g * 1.9)
+        acc.add(0, g * 1.9)
 
     record("broken_scale", (x,), out, fn)
     return out

@@ -187,19 +187,20 @@ def _grouped_conv(x: Tensor, weight: Tensor, bias: Tensor | None, groups: int,
                None if bias is None else bias.data.reshape(1, C_out, 1, 1))
     _check_finite(out_data, op_name)
     out = Tensor(out_data)
+    need_gx, has_bias = x.requires_grad, bias is not None
 
     def fn(grad, acc):
         # The upstream gradient padded like the input: output column i*Wp + j
         # of the forward's grid sits at p*Wp + p + i*Wp + j.
         gf = _pad_flat(grad, G, p)
-        if x.requires_grad:
+        if need_gx:
             # The adjoint correlates gf with the transposed taps at mirrored
             # offsets, in the same tap order. Adding +0.0 turns the -0 that
             # negative taps times a zero gradient can sum to into +0.0.
             gx = np.empty_like(xd)
             _correlate(gf, taps.transpose(0, 1, 3, 2), [offsets[-1] - off for off in offsets],
                        gx, Wp, 0.0)
-            acc.add(x, gx)
+            acc.add(0, gx)
         # Re-padded rather than kept from the forward, so a taped conv holds
         # no padded copy of its input.
         xf = _pad_flat(xd, G, p)
@@ -211,11 +212,11 @@ def _grouped_conv(x: Tensor, weight: Tensor, bias: Tensor | None, groups: int,
             g_blk = g_wide[..., c0:c1]
             for t, off in enumerate(offsets):
                 gw[t] += np.matmul(g_blk, xf[..., off + c0:off + c1].swapaxes(-1, -2))
-        acc.add(weight, gw.sum(axis=1).transpose(1, 2, 3, 0).reshape(C_out, ci_g, k, k))
-        if bias is not None:
-            acc.add(bias, grad.sum(axis=(0, 2, 3), dtype=xd.dtype))
+        acc.add(1, gw.sum(axis=1).transpose(1, 2, 3, 0).reshape(C_out, ci_g, k, k))
+        if has_bias:
+            acc.add(2, grad.sum(axis=(0, 2, 3), dtype=xd.dtype))
 
-    record(op_name, (x, weight) + ((bias,) if bias is not None else ()), out, fn)
+    record(op_name, (x, weight) + ((bias,) if has_bias else ()), out, fn)
     return out
 
 
@@ -279,7 +280,7 @@ def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
     out = Tensor(out_data)
 
     def fn(g, acc):
-        acc.add(x, uy.T @ g @ ux)
+        acc.add(0, uy.T @ g @ ux)
 
     record("bilinear_upsample", (x,), out, fn)
     return out
@@ -347,9 +348,9 @@ def transposed_conv_upsample(x: Tensor, layer: TransposedConv) -> Tensor:
     wide = np.zeros((C_out, n, n, C, K, K), dtype=x.data.dtype)
     wide[where] = layer.weight.data.transpose(2, 3, 1, 0)
     phase_weight = Tensor(wide.reshape(n * n * C_out, C, K, K))
+    wide_shape = wide.shape
     record("transposed_phase_weight", (layer.weight,), phase_weight,
-           lambda g, acc: acc.add(layer.weight,
-                                  g.reshape(wide.shape)[where].transpose(3, 2, 0, 1)))
+           lambda g, acc: acc.add(0, g.reshape(wide_shape)[where].transpose(3, 2, 0, 1)))
 
     phases = _grouped_conv(x, phase_weight, None, 1, "transposed_conv_upsample")
     metering.add_macs(N * H * W * C * C_out * k * k)
@@ -364,11 +365,12 @@ def transposed_conv_upsample(x: Tensor, layer: TransposedConv) -> Tensor:
     out_data = shuffled.reshape(N, C_out, n * H, n * W)
     _check_finite(out_data, "pixel_shuffle")
     out = Tensor(out_data)
+    shuffled_shape, phases_shape, dtype = shuffled.shape, phases.shape, x.data.dtype
 
     def fn(g, acc):
-        acc.add(phases, g.reshape(shuffled.shape).transpose(0, 1, 3, 5, 2, 4)
-                .reshape(phases.shape))
-        acc.add(layer.bias, g.sum(axis=(0, 2, 3), dtype=x.data.dtype))
+        acc.add(0, g.reshape(shuffled_shape).transpose(0, 1, 3, 5, 2, 4)
+                .reshape(phases_shape))
+        acc.add(1, g.sum(axis=(0, 2, 3), dtype=dtype))
 
     record("pixel_shuffle", (phases, layer.bias), out, fn)
     return out
@@ -404,7 +406,7 @@ def maxpool2(x: Tensor) -> Tensor:
         for p, mask in enumerate(first):
             di, dj = divmod(p, 2)
             np.multiply(mask, g, out=gx[:, :, di::2, dj::2])
-        acc.add(x, gx)
+        acc.add(0, gx)
 
     record("maxpool2", (x,), out, fn)
     return out

@@ -7,6 +7,13 @@ forward value eagerly and, when a tape is active, records a backward rule.
 Recording order is topological order, so replaying the tape in reverse
 propagates gradients correctly.
 
+Memory policy: the tape keeps an array only while a backward will read it
+(the accounting of Chen et al., arXiv:1604.06174). A node stores keys for
+its output and inputs, never a Tensor, and a rule pushes its i-th input's
+gradient by position, so each rule captures only the arrays it reads. An op
+output that no backward reads dies when the forward drops it. The tape holds
+its leaves, which alone receive .grad.
+
 Numerics policy: a non-finite forward value raises NumericsError at the op
 that made it. Backward values are checked at leaf write-back: a NaN or Inf
 in an intermediate gradient reaches a leaf under IEEE arithmetic, so it
@@ -16,6 +23,7 @@ single-threaded execution.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -53,7 +61,7 @@ def _check_finite(arr: np.ndarray, op: str, role: str = "output") -> None:
 class Tensor:
     """A rank-1..4 array of scalars, optionally carrying a gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "key")
 
     def __init__(self, data: np.ndarray, requires_grad: bool = False):
         if data.dtype not in (np.float32, np.float64):
@@ -63,6 +71,7 @@ class Tensor:
         self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
+        self.key: tuple | None = None  # set when a tape records the op that made it
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -120,45 +129,52 @@ def uniform_param(shape: Sequence[int], fan_in: int, rng: np.random.Generator,
 # Tape machinery
 # ---------------------------------------------------------------------------
 
-class _Node:
-    __slots__ = ("name", "out", "fn")
+# One serial per tape and per reset. An op output's key is (serial, index of
+# its node), so a key left on a tensor by another tape, or from before a
+# reset, is never read as one of this tape's.
+_SERIALS = itertools.count()
 
-    def __init__(self, name: str, out: Tensor, fn: Callable):
+
+class _Node:
+    """One recorded op: its output's key, its inputs' keys (None for an input
+    that needs no gradient) and its backward rule."""
+
+    __slots__ = ("name", "key", "inputs", "fn")
+
+    def __init__(self, name: str, key: tuple, inputs: tuple, fn: Callable):
         self.name = name
-        self.out = out
+        self.key = key
+        self.inputs = inputs
         self.fn = fn
 
 
 class _BackwardPass:
-    """Per-replay gradient accumulator keyed by tensor identity.
+    """Per-replay gradient accumulator keyed by tape key.
 
-    Each node's output gradient is popped before its rule runs, so it is
-    freed once consumed; what is left at the end, and written back, are the
-    leaf gradients.
+    The replay points it at each node's input keys before running the node's
+    rule, so acc.add(i, g) lands on the node's i-th input. Each node's output
+    gradient is popped before its rule runs, so it is freed once consumed;
+    what is left at the end, and written back, are the leaf gradients.
     """
 
-    def __init__(self):
-        self._entries: dict[int, list] = {}
+    def __init__(self, key: tuple, seed: np.ndarray):
+        self._entries: dict = {key: seed}
+        self.inputs: tuple = ()
 
-    def seed(self, t: Tensor, arr: np.ndarray) -> None:
-        self._entries[id(t)] = [t, arr]
+    def pop(self, key: tuple) -> np.ndarray | None:
+        return self._entries.pop(key, None)
 
-    def pop(self, t: Tensor) -> np.ndarray | None:
-        e = self._entries.pop(id(t), None)
-        return None if e is None else e[1]
-
-    def add(self, t: Tensor, arr: np.ndarray) -> None:
-        if not t.requires_grad:
+    def add(self, i: int, arr: np.ndarray) -> None:
+        key = self.inputs[i]
+        if key is None:
             return
-        e = self._entries.get(id(t))
-        if e is None:
-            # Keep a reference; accumulation below never mutates in place.
-            self._entries[id(t)] = [t, arr]
-        else:
-            e[1] = e[1] + arr
+        e = self._entries.get(key)
+        # Keep a reference; accumulation never mutates in place.
+        self._entries[key] = arr if e is None else e + arr
 
-    def write_back(self) -> None:
-        for t, arr in self._entries.values():
+    def write_back(self, leaves: dict[int, Tensor]) -> None:
+        for key, arr in self._entries.items():
+            t = leaves[key]
             if arr.shape != t.data.shape:
                 arr = arr.reshape(t.data.shape)
             _check_finite(arr, "backward", "gradient")
@@ -172,13 +188,19 @@ class Tape:
     """Ordered record of operations; reverse replay implements backprop.
 
     Repeated backward() calls without reset() accumulate into .grad.
-    reset() drops the recorded nodes and clears the gradients of every
-    tensor the tape touched, leaving no stale buffers.
+    reset() drops the recorded nodes and clears the gradients of every leaf
+    the tape touched, leaving no stale buffers.
+
+    The tape holds its leaves and its nodes' backward rules, nothing else:
+    an op output lives only as long as its caller, or a rule that reads its
+    array, holds it. Gradients reach an output through the key the tape gave
+    it, and a leaf through its id, which stays its own while the tape holds it.
     """
 
     def __init__(self):
         self._nodes: list[_Node] = []
         self._seen: dict[int, Tensor] = {}
+        self._serial = next(_SERIALS)
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -191,40 +213,66 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _register(self, node: _Node, inputs: Iterable[Tensor]) -> None:
-        self._nodes.append(node)
-        self._seen[id(node.out)] = node.out
-        for t in inputs:
-            self._seen[id(t)] = t
+    def _recorded(self, t: Tensor) -> bool:
+        return t.key is not None and t.key[0] == self._serial
+
+    def _key_of(self, t: Tensor):
+        """The key gradients for input `t` are routed by: None if it needs no
+        gradient, its own key if this tape recorded it, else it is a leaf."""
+        if not t.requires_grad:
+            return None
+        if self._recorded(t):
+            return t.key
+        self._seen[id(t)] = t
+        return id(t)
+
+    def _register(self, name: str, inputs: Iterable[Tensor], out: Tensor, fn: Callable) -> None:
+        keys = tuple(self._key_of(t) for t in inputs)
+        out.requires_grad = True
+        out.key = (self._serial, len(self._nodes))
+        self._nodes.append(_Node(name, out.key, keys, fn))
 
     def backward(self, loss: Tensor) -> None:
         if loss.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-        run = _BackwardPass()
-        run.seed(loss, np.ones_like(loss.data))
+        if not self._recorded(loss):
+            raise ContractError(
+                "backward needs a loss this tape recorded; this one was computed with "
+                "no tape active, on another tape, before reset(), or from no tensor "
+                "that requires a gradient")
+        run = _BackwardPass(loss.key, np.ones_like(loss.data))
         for node in reversed(self._nodes):
-            g = run.pop(node.out)
+            g = run.pop(node.key)
             if g is None:
                 continue
+            run.inputs = node.inputs
             node.fn(g, run)
-        run.write_back()
+        run.write_back(self._seen)
 
     def reset(self) -> None:
         self._nodes.clear()
         for t in self._seen.values():
             t.grad = None
         self._seen.clear()
+        self._serial = next(_SERIALS)
 
 
 def record(name: str, inputs: Sequence[Tensor], out: Tensor, fn: Callable) -> None:
     """Attach a backward rule for `out` to the active tape, if any.
 
-    `fn(upstream_grad, acc)` must push contributions via acc.add(input, grad).
-    Exposed so composite modules can define fused operations.
+    `fn(upstream_grad, acc)` pushes the gradient of the op's i-th input with
+    acc.add(i, grad), i its position in `inputs`. The tape stores, per node,
+    each input's route: the key this tape gave it as an op output, its id
+    as a leaf (the tape then holds it), or None if it needs no gradient, in
+    which case acc.add drops the push. `out` gets a key of its own.
+
+    A rule should capture only the arrays and shapes its backward reads,
+    never a Tensor: the tape keeps no op output alive, so what the rules
+    capture is what the tape holds between forward and backward. Exposed so
+    composite modules can define fused operations.
     """
     if _TAPES and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        _TAPES[-1]._register(_Node(name, out, fn), inputs)
+        _TAPES[-1]._register(name, inputs, out, fn)
 
 
 def _match_precision(a: Tensor, b: Tensor, op: str) -> None:
@@ -248,8 +296,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_finite(out.data, "add")
 
     def fn(g, acc):
-        acc.add(a, g)
-        acc.add(b, g)
+        acc.add(0, g)
+        acc.add(1, g)
 
     record("add", (a, b), out, fn)
     return out
@@ -259,34 +307,39 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product of same-shape tensors."""
     _match_precision(a, b, "mul")
     _match_shape(a, b, "mul")
-    out = Tensor(a.data * b.data)
+    ad, bd = a.data, b.data
+    out = Tensor(ad * bd)
     _check_finite(out.data, "mul")
 
     def fn(g, acc):
-        acc.add(a, g * b.data)
-        acc.add(b, g * a.data)
+        acc.add(0, g * bd)
+        acc.add(1, g * ad)
 
     record("mul", (a, b), out, fn)
     return out
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0))
-    _check_finite(out.data, "relu")
+    """max(a, 0). The backward keeps only the output: max(a, 0) > 0 exactly
+    where a > 0, so the output gives the input's mask bit for bit."""
+    out_data = np.maximum(a.data, 0)
+    _check_finite(out_data, "relu")
+    out = Tensor(out_data)
 
     def fn(g, acc):
-        acc.add(a, g * (a.data > 0))
+        acc.add(0, g * (out_data > 0))
 
     record("relu", (a,), out, fn)
     return out
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum(dtype=a.data.dtype).reshape(1))
+    shape, dtype = a.shape, a.data.dtype
+    out = Tensor(a.data.sum(dtype=dtype).reshape(1))
     _check_finite(out.data, "sum_all")
 
     def fn(g, acc):
-        acc.add(a, np.full(a.shape, g.reshape(-1)[0], dtype=a.data.dtype))
+        acc.add(0, np.full(shape, g.reshape(-1)[0], dtype=dtype))
 
     record("sum_all", (a,), out, fn)
     return out
@@ -339,8 +392,8 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
     of weights, reusing one group-sized buffer, so each group's exp2 and
     products run while its scores are in cache; the full (B, heads, Tk, Tq)
     array is never allocated, with or without a tape. For its backward the
-    op keeps only the shifts and l, beside its output and references to q,
-    k and v. The backward walks groups of half that size (it holds two
+    op keeps only the shifts and l, beside its output and the q, k and v
+    arrays. The backward walks groups of half that size (it holds two
     weight buffers, E and dS). Per group it builds Q^ (with the kept
     shifts), K^ᵀ, V^ᵀ and Ĝ in group-sized scratch, so apart from dq, dk
     and dv it allocates nothing full-size, and recomputes E with the
@@ -369,7 +422,8 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
     h, d = heads, E // heads
     s = 1.0 / float(np.sqrt(d))  # python floats: float32 stays float32
     t = s * _LOG2_E
-    dtype = q.data.dtype
+    qd, kd, vd = q.data, k.data, v.data
+    dtype = qd.dtype
 
     def augmented(x: np.ndarray, last, scale: float = 1.0, out=None) -> np.ndarray:
         """(n, E, T) -> (n, h, d + 1, T), into `out` if given: scale·x in each
@@ -391,7 +445,7 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
         np.matmul(kt, qh, out=w)
         np.exp2(w, out=w)
 
-    kh, vh, qh = augmented(k.data, 1), augmented(v.data, 1), augmented(q.data, 0, t)
+    kh, vh, qh = augmented(kd, 1), augmented(vd, 1), augmented(qd, 0, t)
     sq = qh[:, :, :d]
     hi = sq * kh[:, :, :d].max(axis=-1, keepdims=True)
     np.maximum(hi, sq * kh[:, :, :d].min(axis=-1, keepdims=True), out=hi)
@@ -415,7 +469,7 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
     # Only the shifts and l outlive the call: the backward and the recorded
     # weights rebuild what they need of Q^, K^, V^ and E.
     shift, l = qh[:, :, d].copy(), ohat[:, :, d:].copy()
-    out_data = np.empty_like(q.data)
+    out_data = np.empty_like(qd)
     np.divide(ohat[:, :, :d], l, out=out_data.reshape(B, h, d, Tq))
     macs = B * Tq * Tk * E
     with metering.tagged("attn_scores"):
@@ -428,15 +482,15 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
 
     def recorded() -> np.ndarray:
         w = np.empty((B, h, Tk, Tq), dtype=dtype)
-        exp_scores(augmented(k.data, 1).swapaxes(-1, -2), augmented(q.data, shift, t), w)
+        exp_scores(augmented(kd, 1).swapaxes(-1, -2), augmented(qd, shift, t), w)
         w /= l
         return w.swapaxes(-1, -2)
 
     def fn(g, acc):
-        dq, dk, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        dq, dk, dv = np.empty_like(qd), np.empty_like(kd), np.empty_like(vd)
         dqh, dkh, dvh = (x.reshape(B, h, d, -1) for x in (dq, dk, dv))
         g4, o4 = g.reshape(B, h, d, Tq), out_data.reshape(B, h, d, Tq)
-        q4, k4 = q.data.reshape(B, h, d, Tq), k.data.reshape(B, h, d, Tk)
+        q4, k4 = qd.reshape(B, h, d, Tq), kd.reshape(B, h, d, Tk)
         bwd_groups, e_buf = groups(_ATTENTION_GROUP_BYTES // 2)
         ds_buf = np.empty_like(e_buf)
         qh_buf, gh_buf = np.empty((2, len(e_buf), h, d + 1, Tq), dtype=dtype)
@@ -444,9 +498,9 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
         for b in bwd_groups:
             n = b.stop - b.start
             e, ds, ghat = e_buf[:n], ds_buf[:n], gh_buf[:n]
-            qh = augmented(q.data[b], shift[b], t, qh_buf[:n])
-            kt = augmented(k.data[b], 1, out=kh_buf[:n]).swapaxes(-1, -2)
-            vt = augmented(v.data[b], 1, out=vh_buf[:n]).swapaxes(-1, -2)
+            qh = augmented(qd[b], shift[b], t, qh_buf[:n])
+            kt = augmented(kd[b], 1, out=kh_buf[:n]).swapaxes(-1, -2)
+            vt = augmented(vd[b], 1, out=vh_buf[:n]).swapaxes(-1, -2)
             gl = np.divide(g4[b], l[b], out=ghat[:, :, :d])
             np.negative((gl * o4[b]).sum(axis=2), out=ghat[:, :, d])
             exp_scores(kt, qh, e)
@@ -457,9 +511,9 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
             np.matmul(q4[b], ds.swapaxes(-1, -2), out=dkh[b])
         dq *= s
         dk *= s
-        acc.add(q, dq)
-        acc.add(k, dk)
-        acc.add(v, dv)
+        acc.add(0, dq)
+        acc.add(1, dk)
+        acc.add(2, dv)
 
     record("window_attention", (q, k, v), out, fn)
     return out, recorded
@@ -472,7 +526,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     the biased estimate over C; eps floors it so constant inputs map to zero.
 
     For its backward the op keeps only the per-position mean and 1/σ, each
-    (N, 1, H, W), besides its output. The backward rebuilds x̂ = (x - mean)·(1/σ)
+    (N, 1, H, W), besides the input array. The backward rebuilds x̂ = (x - mean)·(1/σ)
     with the forward's two ops, so bit for bit, and runs its chain in two
     reused full-size buffers plus the input gradient.
     """
@@ -485,8 +539,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     _match_precision(x, gamma, "layer_norm")
     _match_precision(x, beta, "layer_norm")
 
-    mean = x.data.mean(axis=1, keepdims=True)
-    out_data = x.data - mean
+    xd = x.data
+    mean = xd.mean(axis=1, keepdims=True)
+    out_data = xd - mean
     var = (out_data * out_data).mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     out_data *= inv_std
@@ -497,11 +552,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     out = Tensor(out_data)
 
     def fn(g, acc):
-        xhat = np.subtract(x.data, mean)
+        xhat = np.subtract(xd, mean)
         xhat *= inv_std
         buf = np.multiply(g, xhat)
-        acc.add(gamma, buf.sum(axis=(0, 2, 3), dtype=x.data.dtype))
-        acc.add(beta, g.sum(axis=(0, 2, 3), dtype=x.data.dtype))
+        acc.add(1, buf.sum(axis=(0, 2, 3), dtype=xd.dtype))
+        acc.add(2, g.sum(axis=(0, 2, 3), dtype=xd.dtype))
         # Standard layer-norm backward over the channel axis:
         # gx = (1/σ)·(dx̂ - mean_c(dx̂) - x̂·mean_c(dx̂·x̂)), dx̂ = γ·g.
         dxhat = np.multiply(g, gm, out=buf)
@@ -511,7 +566,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         xhat *= m2
         np.subtract(dxhat, xhat, out=gx)
         gx *= inv_std
-        acc.add(x, gx)
+        acc.add(0, gx)
 
     record("layer_norm", (x, gamma, beta), out, fn)
     return out

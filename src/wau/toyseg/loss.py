@@ -13,8 +13,8 @@ for c ≥ 1 and 0 for the background, is
 
     dz = p∘(g_p - Σ_c p_c·g_p,c) + (p - y)/M
 
-and keeps only the log-probabilities, the one-hot and the per-class D_c and
-den_c.
+and keeps only the log-probabilities and the per-class D_c and den_c. It
+rebuilds the one-hot from a reference to the caller's integer masks.
 """
 from __future__ import annotations
 
@@ -39,10 +39,14 @@ def seg_loss(logits: Tensor, masks: np.ndarray, classes: int) -> Tensor:
         raise ContractError(f"mask labels outside 0..{classes}")
 
     z = logits.data
-    pixels = n * h * w
+    pixels, dtype = n * h * w, z.dtype
+
+    def one_hot() -> np.ndarray:
+        return (masks[:, None] == np.arange(ch).reshape(ch, 1, 1)).astype(dtype)
+
     shifted = z - z.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    onehot = (masks[:, None] == np.arange(ch).reshape(ch, 1, 1)).astype(z.dtype)
+    onehot = one_hot()
     ce = -(log_probs * onehot).sum() / pixels
     fg_p, fg_y = np.exp(log_probs[:, 1:]), onehot[:, 1:]
     den = (fg_p.sum(axis=(0, 2, 3), keepdims=True) + fg_y.sum(axis=(0, 2, 3), keepdims=True)
@@ -52,13 +56,14 @@ def seg_loss(logits: Tensor, masks: np.ndarray, classes: int) -> Tensor:
     _check_finite(out.data, "seg_loss")
 
     def fn(g, acc):
+        onehot = one_hot()
         p = np.exp(log_probs)
         g_p = np.zeros_like(p)
         g_p[:, 1:] = (dice - 2 * onehot[:, 1:]) / (classes * den)
         g_p -= (p * g_p).sum(axis=1, keepdims=True)
         g_p *= p
         g_p += (p - onehot) / pixels
-        acc.add(logits, g_p * g)
+        acc.add(0, g_p * g)
 
     tensor.record("seg_loss", (logits,), out, fn)
     return out

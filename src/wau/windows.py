@@ -69,7 +69,7 @@ def partition(x: Tensor, window: int | None) -> WindowGrid:
     out = Tensor(np.ascontiguousarray(out_data))
 
     def fn(g, acc):
-        acc.add(x, g.reshape(N, th, tw, C, mh, mw)
+        acc.add(0, g.reshape(N, th, tw, C, mh, mw)
                 .transpose(0, 3, 1, 4, 2, 5)
                 .reshape(N, C, H, W))
 
@@ -91,7 +91,7 @@ def merge(grid: WindowGrid) -> Tensor:
     out = Tensor(np.ascontiguousarray(out_data))
 
     def fn(g, acc):
-        acc.add(blocks, g.reshape(N, C, th, mh, tw, mw)
+        acc.add(0, g.reshape(N, C, th, mh, tw, mw)
                 .transpose(0, 2, 4, 1, 3, 5)
                 .reshape(N * th * tw, C, mh * mw))
 

@@ -10,9 +10,11 @@ from hypothesis.extra import numpy as hnp
 import wau
 from conftest import naive_attention
 from wau.analysis import gradcheck
+from wau.conv import bilinear_upsample
 from wau.tensor import (ContractError, NumericsError, ShapeError, Tape,
                         Tensor, add, layer_norm, mul, record, relu,
                         sum_all, tensor, uniform_param, window_attention, zeros)
+from wau.windows import WindowGrid, merge, partition
 
 fin32 = st.floats(-50, 50, width=32)
 
@@ -186,7 +188,7 @@ class TestTapeBackward:
         def poison(a):
             out = Tensor(a.data.copy())
             record("poison", (a,), out,
-                   lambda g, acc: acc.add(a, np.full_like(g, np.nan)))
+                   lambda g, acc: acc.add(0, np.full_like(g, np.nan)))
             return out
 
         with Tape() as tape:
@@ -241,6 +243,140 @@ class TestTapeBackward:
             tape.backward(sum_all(mul(out, out)))
         np.testing.assert_allclose(k.grad.sum(axis=2), 0.0,
                                    atol=1e-10 * max(1.0, np.abs(k.grad).max()))
+
+
+def chain_loss(x, scales, leaves, held=None):
+    """sum(y²) after len(scales) links y <- relu(y·w) + x: 3 nodes per link, 2 more
+    for the loss. Each link's w is a leaf made there from scales[i], as a lazily
+    built layer would, and appended to `leaves`. Only `held`, when given, keeps
+    the intermediates; otherwise each link's temporaries are freed before the
+    next link allocates the same shapes."""
+    y = x
+    for s in scales:
+        w = Tensor(s, requires_grad=True)
+        leaves.append(w)
+        parts = [mul(y, w)]
+        parts.append(relu(parts[-1]))
+        parts.append(add(parts[-1], x))
+        y = parts[-1]
+        if held is not None:
+            held.extend(parts)
+    return sum_all(mul(y, y))
+
+
+class TestGradientRouting:
+    LINKS = 12  # 38 nodes
+
+    def operands(self, rng):
+        x = tensor(rng.normal(size=(4, 6)), precision="double", requires_grad=True)
+        scales = [rng.normal(size=(4, 6)) for _ in range(self.LINKS)]
+        return x, scales
+
+    def test_freed_intermediates_do_not_misroute_gradients(self, rng):
+        # Routing by the identity of freed tensors would let a leaf made
+        # later, at the same address, take a dead intermediate's gradient.
+        grads = []
+        for hold in (False, True):
+            x, scales = self.operands(np.random.default_rng(3))
+            leaves, held = [], ([] if hold else None)
+            with Tape() as tape:
+                loss = chain_loss(x, scales, leaves, held)
+                assert len(tape) == 3 * self.LINKS + 2
+                tape.backward(loss)
+            assert all(t.grad is not None for t in [x] + leaves)
+            grads.append([x.grad] + [t.grad for t in leaves])
+        for freed, kept in zip(*grads):
+            np.testing.assert_array_equal(freed, kept)
+
+    def test_chain_gradcheck(self, rng):
+        x, scales = self.operands(rng)
+        report = gradcheck(lambda: chain_loss(x, scales, []), [("x", x)])
+        assert report.max_rel_error < 1e-7
+
+    def test_unrecorded_loss_is_rejected(self):
+        # Losses made with no tape, on another tape, before reset(), from no
+        # tensor that requires a gradient, and a leaf: none gets a gradient.
+        x = tensor([2.0], precision="double", requires_grad=True)
+        untaped = sum_all(mul(x, x))
+        with Tape():
+            foreign = sum_all(mul(x, x))
+        with Tape() as tape:
+            stale = sum_all(mul(x, x))
+            tape.reset()
+            constant = sum_all(tensor([3.0], precision="double"))
+            mul(x, x)
+            for loss in (untaped, foreign, stale, constant, x):
+                with pytest.raises(ContractError, match="loss this tape recorded"):
+                    tape.backward(loss)
+        assert all(t.grad is None for t in (x, untaped, foreign, stale, constant))
+
+    def test_output_of_an_earlier_tape_is_a_leaf_of_the_next(self):
+        x = tensor([2.0, -3.0], precision="double", requires_grad=True)
+        with Tape():
+            y = mul(x, x)
+        with Tape() as tape:
+            tape.backward(sum_all(mul(y, y)))
+        np.testing.assert_array_equal(y.grad, 2 * y.data)
+        assert x.grad is None
+
+
+def held_after_forward(rng, op, shapes, keep_result=False):
+    """Bytes a taped `op` leaves held after its forward, when its inputs are op
+    outputs only it was given and the caller keeps sum_all of its result (and
+    the result itself if `keep_result`). Runs the backward too and checks
+    every leaf got a gradient."""
+    leaves = [tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+              for s in shapes]
+    ones = [tensor(np.ones(s, dtype=np.float32)) for s in shapes]
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            before = tracemalloc.get_traced_memory()[0]
+            inputs = [mul(t, c) for t, c in zip(leaves, ones)]
+            result = op(*inputs)
+            loss = sum_all(result)
+            del inputs
+            if not keep_result:
+                del result
+            held = tracemalloc.get_traced_memory()[0] - before
+            tape.backward(loss)
+    finally:
+        tracemalloc.stop()
+    assert all(t.grad is not None and t.grad.shape == t.shape for t in leaves)
+    return held
+
+
+class TestHeldForBackward:
+    # Maps of 1 MiB: a kept input or output shows far above the slack.
+    SHAPE = (4, 16, 64, 64)
+    SLACK = 4096  # tensors, closures and tape nodes
+
+    def test_relu_keeps_only_its_output(self, rng):
+        # The caller holds the output too, so a kept input shows on top of it.
+        nbytes = 4 * int(np.prod(self.SHAPE))
+        assert held_after_forward(rng, relu, [self.SHAPE], keep_result=True) <= nbytes + self.SLACK
+
+    def test_relu_gradient_reads_the_mask_from_the_output(self):
+        x = tensor([-1.5, -0.0, 0.0, 1e-30, 2.0], precision="double", requires_grad=True)
+        with Tape() as tape:
+            tape.backward(sum_all(relu(x)))
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("name", ["add", "bilinear_upsample", "window_partition",
+                                      "window_merge"])
+    def test_shape_only_backward_keeps_no_array(self, rng, name):
+        N, C, H, W = self.SHAPE
+        grid = (N, C, H, W), 8
+        ops = {
+            "add": (add, [self.SHAPE] * 2),
+            "bilinear_upsample": (lambda x: bilinear_upsample(x, 2), [self.SHAPE]),
+            "window_partition": (lambda x: partition(x, 8).blocks, [self.SHAPE]),
+            "window_merge": (lambda b: merge(WindowGrid(b, *grid)),
+                             [(N * (H // 8) * (W // 8), C, 64)]),
+        }
+        op, shapes = ops[name]
+        op(*(tensor(np.zeros(s, dtype=np.float32)) for s in shapes))  # fills caches
+        assert held_after_forward(rng, op, shapes) <= self.SLACK
 
 
 class TestWindowAttention:

@@ -2,6 +2,7 @@
 import hashlib
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -10,10 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import wau.attention
+import wau.conv
+import wau.tensor
+import wau.windows
 from conftest import exhaustive_hausdorff
 from wau import metering
 from wau.analysis import gradcheck
-from wau.tensor import ContractError, NumericsError, ShapeError, Tape, Tensor, tensor
+from wau.tensor import (ContractError, NumericsError, ShapeError, Tape, Tensor, record,
+                        tensor)
 from wau.toyseg.data import augment, gen_dataset, make_sample
 from wau.toyseg.loss import seg_loss
 from wau.toyseg.metrics import (_directed_sq, dice_score, hausdorff,
@@ -170,39 +175,81 @@ class TestModel:
         net = ToyNet(2, 4, "bilinear", 1)
         assert net.parameter_groups()["decoder"] == []
 
-    def test_taped_forward_holds_only_op_outputs_and_listed_state(self):
-        # A taped wau forward plus loss may hold its recorded op outputs and
-        # the state listed below, nothing else: an op that keeps a full-size
-        # copy for its backward (a padded input, a normalized map) fails here.
+    # What each op's backward reads of the tensors it was recorded with: input
+    # positions, and "out" for its own output. Anything else an op keeps is
+    # its own state, listed in the test below.
+    BACKWARD_READS = {
+        "conv2d": (0,), "relu": ("out",), "maxpool2": (0, "out"), "layer_norm": (0,),
+        "window_partition": (), "window_attention": (0, 1, 2, "out"), "window_merge": (),
+        "bilinear_upsample": (), "add": (), "seg_loss": (),
+    }
+
+    def test_taped_forward_holds_only_op_outputs_and_listed_state(self, monkeypatch):
+        # A taped wau forward plus loss may hold the op outputs that a later
+        # backward reads and the state listed below, nothing else: an op that
+        # keeps a full-size copy (a padded input, a normalized map), or a
+        # tape that keeps outputs no backward reads, fails here.
         N, S, heads = 2, 64, 4
         net = ToyNet(2, 8, "wau", 1, window=4, heads=heads, seed=0)
         rng = np.random.default_rng(0)
         x = tensor(rng.normal(size=(N, 1, S, S)).astype(np.float32))
         masks = (rng.random((N, S, S)) < 0.3).astype(np.int64)
         net.forward(x)  # fills the bilinear axis-matrix cache
+        log = []
+
+        def logged(name, inputs, out, fn):
+            record(name, inputs, out, fn)
+            log.append((name, tuple(t.key for t in inputs), out.key, out.data.nbytes))
+
+        for module in (wau.tensor, wau.conv, wau.windows):
+            monkeypatch.setattr(module, "record", logged)
         tracemalloc.start()
         try:
             with Tape() as tape:
                 before = tracemalloc.get_traced_memory()[0]
                 seg_loss(net.forward(x), masks, 1)
                 held = tracemalloc.get_traced_memory()[0] - before
-                outputs = {id(n.out.data): n.out.data.nbytes for n in tape._nodes}
+                assert len(log) == len(tape)
         finally:
             tracemalloc.stop()
+        outputs = {out: nbytes for _, _, out, nbytes in log}
+        read = {out if r == "out" else inputs[r]
+                for name, inputs, out, _ in log for r in self.BACKWARD_READS[name]}
         item = 4
         state = {
             # mean and 1/σ per position of each stage's lateral and source map
             "layer_norm": sum(2 * N * (S // s) ** 2 * item for s in (2, 4, 1, 2)),
             # shifts and column sums per query and head, one attention per stage
             "window_attention": sum(2 * heads * N * (S // s) ** 2 * item for s in (2, 1)),
-            # log-probabilities and one-hot, (N, 2, S, S) each
-            "seg_loss": 2 * N * 2 * S * S * item,
+            # log-probabilities, (N, 2, S, S)
+            "seg_loss": N * 2 * S * S * item,
             # each k > 1 conv weight re-laid as contiguous taps (1x1 ones are not copied)
             "conv taps": sum(t.data.nbytes for n, t in net.parameters()
                              if n.endswith("weight") and t.shape[-1] > 1),
         }
-        slack = 64 << 10  # tensors, closures and tape nodes: 47 KiB measured
-        assert held <= sum(outputs.values()) + sum(state.values()) + slack
+        slack = 64 << 10  # tensors, closures, tape nodes and the log: 48 KiB measured
+        assert held <= sum(outputs[k] for k in read & outputs.keys()) + sum(state.values()) + slack
+
+    @pytest.mark.parametrize("upsampler", ["wau", "bilinear", "transposed"])
+    def test_backward_rules_capture_no_tensor(self, upsampler):
+        # A rule that captured a Tensor would keep its array alive whether or
+        # not the backward reads it.
+        def reachable(obj):
+            yield obj
+            if isinstance(obj, types.FunctionType):
+                for cell in obj.__closure__ or ():
+                    yield from reachable(cell.cell_contents)
+            elif isinstance(obj, (tuple, list)):
+                for item in obj:
+                    yield from reachable(item)
+
+        net = ToyNet(2, 4, upsampler, 1, window=2, heads=2, seed=0)
+        x = tensor(np.random.default_rng(0).normal(size=(2, 1, 16, 16)).astype(np.float32))
+        with Tape() as tape:
+            seg_loss(net.forward(x), np.zeros((2, 16, 16), dtype=np.int64), 1)
+        assert len(tape) > 10
+        for node in tape._nodes:
+            assert not any(isinstance(obj, Tensor) for obj in reachable(node.fn)), node.name
 
 
 class TestRecorder:

@@ -1,4 +1,5 @@
 """Training loop: bookkeeping, determinism, resumable checkpoints, aborts."""
+import hashlib
 import re
 import struct
 from pathlib import Path
@@ -11,6 +12,7 @@ from wau.config import (ConfigError, DataConfig, ModelConfig, RunConfig, TrainCo
 from wau.tensor import Tape, tensor
 from wau.tensorio import read_tensor, write_tensor
 from wau.toyseg.data import gen_dataset
+from wau.toyseg import train as train_module
 from wau.toyseg.loss import seg_loss
 from wau.toyseg.train import (METRICS_HEADER, TrainingAborted, TrainRun,
                               build_model_from_config, evaluate, load_parameters, train)
@@ -85,6 +87,63 @@ def test_reference_train_step_records_39_tape_nodes():
         model_nodes = len(tape)
         seg_loss(logits, np.stack([s.mask for s in samples]), d.classes)
     assert (cfg.model.upsampler, model_nodes, len(tape)) == ("wau", 38, 39)
+
+
+# The first 12 steps of the reference run (`configs/acceptance.ini`) for each
+# upsampler: sha256 of every parameter, first and second Adam moment (each
+# kind hashed in parameter order), and each step's loss. A change that
+# claims to leave training bitwise intact must keep these; one that does
+# not must say why and update them.
+TRAJECTORY = {
+    "wau": (
+        "1ee6d98a2d39d1006696ad0ebe34076c79bd34ba7d758327f62a1aaf850a3c4e",
+        "4674b936cfe6081ddf3aa808b62c58202c628c9bdcdf3602a07aca6762f05197",
+        "adad568a2e941ee6ba27e8c566c0c659a1a93f6f84c4a85a638e8b6c91c84544",
+        [1.6350699663162231, 1.5626490116119385, 1.6245752573013306, 1.499746322631836,
+         1.5940768718719482, 1.6163403987884521, 1.5926536321640015, 1.6172391176223755,
+         1.5467917919158936, 1.5258225202560425, 1.5862171649932861, 1.565333366394043]),
+    "bilinear": (
+        "0398f47ffff1281ab89e144e2caf57cfb79b7cf6a47f19f60b6a2584e294f33d",
+        "1eec6c9874d8ddce4671838390dc3d7abf9307fe3bebb1bffc73e31b32a4c659",
+        "1b7ad1a314ad3c28cca5b05624ac3e680858553baa964134d47049f089842154",
+        [1.548892855644226, 1.4860647916793823, 1.536564826965332, 1.4421645402908325,
+         1.5136340856552124, 1.5397274494171143, 1.5142186880111694, 1.5376163721084595,
+         1.4791358709335327, 1.4700443744659424, 1.518090844154358, 1.502761960029602]),
+    "transposed": (
+        "ec8ac9fac0a000fec2c653f0779871dd2d86d9c79094ae5361446f8541ba0ca4",
+        "ba10f4e3e5a9e9b7aeb39053898bd73e4118ea51c7a8dd687952aad1fa39b98e",
+        "2888213bfdb8f5296e50689db220bef33bb07e9e6033e6bdd1808b40537ab74d",
+        [1.5482301712036133, 1.4854093790054321, 1.535922884941101, 1.4416894912719727,
+         1.5129681825637817, 1.5390291213989258, 1.5136072635650635, 1.5369197130203247,
+         1.478661060333252, 1.4694368839263916, 1.5175410509109497, 1.5022118091583252]),
+}
+
+
+@pytest.mark.parametrize("upsampler", sorted(TRAJECTORY))
+def test_reference_trajectory_is_pinned(upsampler, monkeypatch):
+    cfg = parse_config(Path(__file__).parents[1] / "configs" / "acceptance.ini")
+    cfg.model.upsampler = upsampler
+    run = TrainRun(cfg)
+    losses = []
+
+    def logged(*args):
+        loss = seg_loss(*args)
+        losses.append(loss.item())
+        return loss
+
+    monkeypatch.setattr(train_module, "seg_loss", logged)
+    run.perm = run.rng.permutation(len(run.train_set))
+    for _ in range(12):
+        run._train_step()
+    names = [n for n, _ in run.model.parameters()]
+    digests = []
+    for arrays in ([p.data for _, p in run.model.parameters()],
+                   [run.opt.m[n] for n in names], [run.opt.v[n] for n in names]):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(a.tobytes())
+        digests.append(h.hexdigest())
+    assert (*digests, losses) == TRAJECTORY[upsampler]
 
 
 class TestDeterminism:
