@@ -108,8 +108,6 @@ class CostReport:
     analytic_mem_elems: int
     measured_peak_elems: int
 
-    CSV_HEADER = "kind,h2,w2,c,k,n,m2,analytic_flops,measured_flops,analytic_mem_elems,measured_peak_elems"
-
     def csv_row(self) -> str:
         m2 = "" if self.m2 is None else str(self.m2)
         return (f"{self.kind},{self.h2},{self.w2},{self.c},{self.k},{self.n},{m2},"
@@ -136,11 +134,13 @@ def measure(kind: str, h2: int, w2: int, c: int, k: int, n: int,
             raise ContractError(f"window {m2} does not divide source map {h2}x{w2}")
         analytic = flops_wad(h2, w2, c, k, n, m2)
         analytic_mem = mem_wad(h2, w2, c, n, m2)
+    elif m2 is not None:
+        raise ContractError(f"ad measurement is global and takes no window, got m2={m2}")
     else:
         analytic = flops_ad(h2, w2, c, k, n)
         analytic_mem = mem_ad(h2, w2, c, n)
 
-    cfg = WauConfig(ratio=n, window=m2 if kind == "wad" else None, heads=1,
+    cfg = WauConfig(ratio=n, window=m2, heads=1,
                     proj_kernel=k, out_kernel=k)
     rng = np.random.default_rng(seed)
     dec = AttentionDecoder(cfg, lateral_channels=c, source_channels=c, rng=rng)

@@ -56,8 +56,7 @@ class WauConfig:
 class AttentionRecord:
     """Detached attention weights captured during one decode."""
 
-    weights: np.ndarray                 # (num_windows, heads, Tq, Tkv)
-    coords: list[tuple[int, int, int]]  # (batch, tile_row, tile_col) per window
+    weights: np.ndarray  # (num_windows, heads, Tq, Tkv), windows batch-major raster
     layer_index: int
     ratio: int
     window: int | None
@@ -146,7 +145,7 @@ class AttentionDecoder:
         ctx, w = window_attention(qgrid.blocks, kgrid.blocks, vgrid.blocks, self.cfg.heads)
         feats = merge(WindowGrid(ctx, qgrid.source_shape, qgrid.window))
         metering.observe("attention", lambda: AttentionRecord(
-            weights=w(), coords=qgrid.coords(), layer_index=self.layer_index,
+            weights=w(), layer_index=self.layer_index,
             ratio=self.cfg.ratio, window=window, heads=self.cfg.heads,
             query_shape=feats.shape))
         with metering.tagged("out_conv"):

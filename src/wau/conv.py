@@ -42,8 +42,8 @@ import functools
 import numpy as np
 
 from . import metering
-from .tensor import (ContractError, ShapeError, Tensor, record, uniform_param,
-                     zeros, _check_finite, _match_precision)
+from .tensor import (ContractError, ShapeError, Tensor, op_result, record, uniform_param,
+                     zeros, _match_precision)
 
 CONV_VARIANTS = ("regular", "grouped", "depthwise_separable")
 
@@ -185,8 +185,6 @@ def _grouped_conv(x: Tensor, weight: Tensor, bias: Tensor | None, groups: int,
     out_data = np.empty((N, C_out, H, W), dtype=xd.dtype)
     _correlate(_pad_flat(xd, G, p), taps, offsets, out_data, Wp,
                None if bias is None else bias.data.reshape(1, C_out, 1, 1))
-    _check_finite(out_data, op_name)
-    out = Tensor(out_data)
     need_gx, has_bias = x.requires_grad, bias is not None
 
     def fn(grad, acc):
@@ -216,8 +214,7 @@ def _grouped_conv(x: Tensor, weight: Tensor, bias: Tensor | None, groups: int,
         if has_bias:
             acc.add(2, grad.sum(axis=(0, 2, 3), dtype=xd.dtype))
 
-    record(op_name, (x, weight) + ((bias,) if has_bias else ()), out, fn)
-    return out
+    return op_result(op_name, (x, weight) + ((bias,) if has_bias else ()), out_data, fn)
 
 
 def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
@@ -275,15 +272,11 @@ def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
     xd = x.data
     uy = _axis_matrix(xd.shape[2], factor, xd.dtype)
     ux = _axis_matrix(xd.shape[3], factor, xd.dtype)
-    out_data = uy @ xd @ ux.T
-    _check_finite(out_data, "bilinear_upsample")
-    out = Tensor(out_data)
 
     def fn(g, acc):
         acc.add(0, uy.T @ g @ ux)
 
-    record("bilinear_upsample", (x,), out, fn)
-    return out
+    return op_result("bilinear_upsample", (x,), uy @ xd @ ux.T, fn)
 
 
 class TransposedConv:
@@ -362,9 +355,6 @@ def transposed_conv_upsample(x: Tensor, layer: TransposedConv) -> Tensor:
     for py in range(n):
         for px in range(n):
             np.add(by_phase[:, :, py, px], bias, out=shuffled[:, :, :, py, :, px])
-    out_data = shuffled.reshape(N, C_out, n * H, n * W)
-    _check_finite(out_data, "pixel_shuffle")
-    out = Tensor(out_data)
     shuffled_shape, phases_shape, dtype = shuffled.shape, phases.shape, x.data.dtype
 
     def fn(g, acc):
@@ -372,8 +362,8 @@ def transposed_conv_upsample(x: Tensor, layer: TransposedConv) -> Tensor:
                 .reshape(phases_shape))
         acc.add(1, g.sum(axis=(0, 2, 3), dtype=dtype))
 
-    record("pixel_shuffle", (phases, layer.bias), out, fn)
-    return out
+    return op_result("pixel_shuffle", (phases, layer.bias),
+                     shuffled.reshape(N, C_out, n * H, n * W), fn)
 
 
 def maxpool2(x: Tensor) -> Tensor:
@@ -392,8 +382,6 @@ def maxpool2(x: Tensor) -> Tensor:
     xd = x.data
     cols = np.maximum(xd[..., 0::2], xd[..., 1::2])
     out_data = np.maximum(cols[:, :, 0::2], cols[:, :, 1::2])
-    _check_finite(out_data, "maxpool2")
-    out = Tensor(out_data)
 
     def fn(g, acc):
         # slot p = 2*di + dj wins where it holds the max and no earlier slot
@@ -408,5 +396,4 @@ def maxpool2(x: Tensor) -> Tensor:
             np.multiply(mask, g, out=gx[:, :, di::2, dj::2])
         acc.add(0, gx)
 
-    record("maxpool2", (x,), out, fn)
-    return out
+    return op_result("maxpool2", (x,), out_data, fn)

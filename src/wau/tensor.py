@@ -15,11 +15,13 @@ output that no backward reads dies when the forward drops it. The tape holds
 its leaves, which alone receive .grad.
 
 Numerics policy: a non-finite forward value raises NumericsError at the op
-that made it. Backward values are checked at leaf write-back: a NaN or Inf
-in an intermediate gradient reaches a leaf under IEEE arithmetic, so it
-raises there; nothing propagates silently. All reductions use a fixed
-order, so repeated runs on identical inputs are bitwise identical in
-single-threaded execution.
+that made it, named by its tape name. Every op that computes values
+publishes its output through op_result, the one place that check happens;
+ops that only re-lay checked values call record directly. Backward values
+are checked at leaf write-back: a NaN or Inf in an intermediate gradient
+reaches a leaf under IEEE arithmetic, so it raises there; nothing
+propagates silently. All reductions use a fixed order, so repeated runs on
+identical inputs are bitwise identical in single-threaded execution.
 """
 from __future__ import annotations
 
@@ -260,6 +262,10 @@ class Tape:
 def record(name: str, inputs: Sequence[Tensor], out: Tensor, fn: Callable) -> None:
     """Attach a backward rule for `out` to the active tape, if any.
 
+    It does not check `out` for finite values: it is meant for ops that only
+    re-lay values already checked, and for test fixtures. An op that computes
+    new values publishes them with op_result.
+
     `fn(upstream_grad, acc)` pushes the gradient of the op's i-th input with
     acc.add(i, grad), i its position in `inputs`. The tape stores, per node,
     each input's route: the key this tape gave it as an op output, its id
@@ -273,6 +279,16 @@ def record(name: str, inputs: Sequence[Tensor], out: Tensor, fn: Callable) -> No
     """
     if _TAPES and any(t.requires_grad for t in inputs):
         _TAPES[-1]._register(name, inputs, out, fn)
+
+
+def op_result(name: str, inputs: Sequence[Tensor], data: np.ndarray, fn: Callable) -> Tensor:
+    """The output of computed op `name`: `data` checked for finite values
+    (NumericsError names the op), wrapped, and recorded with backward rule
+    `fn` by this module's `record`, so a hook that replaces it sees every node."""
+    _check_finite(data, name)
+    out = Tensor(data)
+    record(name, inputs, out, fn)
+    return out
 
 
 def _match_precision(a: Tensor, b: Tensor, op: str) -> None:
@@ -292,15 +308,12 @@ def _match_shape(a: Tensor, b: Tensor, op: str) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _match_precision(a, b, "add")
     _match_shape(a, b, "add")
-    out = Tensor(a.data + b.data)
-    _check_finite(out.data, "add")
 
     def fn(g, acc):
         acc.add(0, g)
         acc.add(1, g)
 
-    record("add", (a, b), out, fn)
-    return out
+    return op_result("add", (a, b), a.data + b.data, fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -308,41 +321,32 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _match_precision(a, b, "mul")
     _match_shape(a, b, "mul")
     ad, bd = a.data, b.data
-    out = Tensor(ad * bd)
-    _check_finite(out.data, "mul")
 
     def fn(g, acc):
         acc.add(0, g * bd)
         acc.add(1, g * ad)
 
-    record("mul", (a, b), out, fn)
-    return out
+    return op_result("mul", (a, b), ad * bd, fn)
 
 
 def relu(a: Tensor) -> Tensor:
     """max(a, 0). The backward keeps only the output: max(a, 0) > 0 exactly
     where a > 0, so the output gives the input's mask bit for bit."""
     out_data = np.maximum(a.data, 0)
-    _check_finite(out_data, "relu")
-    out = Tensor(out_data)
 
     def fn(g, acc):
         acc.add(0, g * (out_data > 0))
 
-    record("relu", (a,), out, fn)
-    return out
+    return op_result("relu", (a,), out_data, fn)
 
 
 def sum_all(a: Tensor) -> Tensor:
     shape, dtype = a.shape, a.data.dtype
-    out = Tensor(a.data.sum(dtype=dtype).reshape(1))
-    _check_finite(out.data, "sum_all")
 
     def fn(g, acc):
         acc.add(0, np.full(shape, g.reshape(-1)[0], dtype=dtype))
 
-    record("sum_all", (a,), out, fn)
-    return out
+    return op_result("sum_all", (a,), a.data.sum(dtype=dtype).reshape(1), fn)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +481,6 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
     metering.track_buffer("weights", B * h * Tq * Tk)
     with metering.tagged("attn_apply"):
         metering.add_macs(macs)
-    _check_finite(out_data, "window_attention")
-    out = Tensor(out_data)
 
     def recorded() -> np.ndarray:
         w = np.empty((B, h, Tk, Tq), dtype=dtype)
@@ -515,8 +517,7 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, heads: int
         acc.add(1, dk)
         acc.add(2, dv)
 
-    record("window_attention", (q, k, v), out, fn)
-    return out, recorded
+    return op_result("window_attention", (q, k, v), out_data, fn), recorded
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -548,8 +549,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     gm = gamma.data.reshape(1, C, 1, 1)
     out_data *= gm
     out_data += beta.data.reshape(1, C, 1, 1)
-    _check_finite(out_data, "layer_norm")
-    out = Tensor(out_data)
 
     def fn(g, acc):
         xhat = np.subtract(xd, mean)
@@ -568,5 +567,4 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         gx *= inv_std
         acc.add(0, gx)
 
-    record("layer_norm", (x, gamma, beta), out, fn)
-    return out
+    return op_result("layer_norm", (x, gamma, beta), out_data, fn)

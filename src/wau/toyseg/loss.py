@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import tensor
-from ..tensor import ContractError, ShapeError, Tensor, _check_finite
+from ..tensor import ContractError, ShapeError, Tensor, op_result
 
 SMOOTH = 1e-6
 
@@ -52,8 +51,6 @@ def seg_loss(logits: Tensor, masks: np.ndarray, classes: int) -> Tensor:
     den = (fg_p.sum(axis=(0, 2, 3), keepdims=True) + fg_y.sum(axis=(0, 2, 3), keepdims=True)
            + SMOOTH)
     dice = (2 * (fg_p * fg_y).sum(axis=(0, 2, 3), keepdims=True) + SMOOTH) / den
-    out = Tensor((ce + 1 - dice.mean()).reshape(1))
-    _check_finite(out.data, "seg_loss")
 
     def fn(g, acc):
         onehot = one_hot()
@@ -65,5 +62,4 @@ def seg_loss(logits: Tensor, masks: np.ndarray, classes: int) -> Tensor:
         g_p += (p - onehot) / pixels
         acc.add(0, g_p * g)
 
-    tensor.record("seg_loss", (logits,), out, fn)
-    return out
+    return op_result("seg_loss", (logits,), (ce + 1 - dice.mean()).reshape(1), fn)

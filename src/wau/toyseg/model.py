@@ -13,7 +13,7 @@ import numpy as np
 from .. import metering
 from ..attention import WauConfig
 from ..conv import ConvSpec, maxpool2
-from ..stage import build_stage
+from ..stage import WadStage, build_stage
 from ..tensor import ContractError, ShapeError, Tensor, relu
 
 
@@ -90,7 +90,7 @@ class ToyNet:
     def min_divisor(self) -> int:
         """Spatial divisibility the input must satisfy."""
         div = 1 << self.depth
-        if self.upsampler in ("wau", "wad_only"):
+        if isinstance(self.decoder[0], WadStage):
             # Deepest source map is input / 2^depth and must tile into windows.
             cfg_window = self.decoder[0].cfg.window
             div = max(div, cfg_window << self.depth)

@@ -56,28 +56,24 @@ def _trace(model: ToyNet, cfg: RunConfig, sample_index: int):
     return s, trace
 
 
-def positive_window_mean(weights: np.ndarray, coords, query_shape,
-                         ratio: int, window: int,
+def positive_window_mean(weights: np.ndarray, query_shape, ratio: int, window: int,
                          mask: np.ndarray) -> np.ndarray | None:
     """Average (heads and windows) of weights whose footprint hits the mask.
 
-    Each window tiles ratio*window query positions per side; a query map of
-    (hq, wq) sits on an image of mask.shape, so the footprint of window tile
-    (tr, tc) is that tile scaled by the image/query size ratio. Returns the
-    (M1^2, M2^2) mean, or None when no window overlaps a positive pixel.
+    The (N, th, tw) windows, batch-major raster, tile the query map in
+    ratio*window squares; the query map covers the image of mask.shape, so
+    window tile (tr, tc) covers the same tile of the mask in every batch
+    item. Returns the (M1^2, M2^2) mean, or None when no window overlaps a
+    positive pixel.
     """
     m1 = ratio * window
-    hq, wq = query_shape[2], query_shape[3]
-    sy, sx = mask.shape[0] // hq, mask.shape[1] // wq
-    picked = []
-    for w, (_, tr, tc) in zip(weights, coords):
-        footprint = mask[tr * m1 * sy:(tr + 1) * m1 * sy,
-                         tc * m1 * sx:(tc + 1) * m1 * sx]
-        if np.any(footprint > 0):
-            picked.append(w)
-    if not picked:
+    n, th, tw = query_shape[0], query_shape[2] // m1, query_shape[3] // m1
+    H, W = mask.shape
+    hits = (mask > 0).reshape(th, H // th, tw, W // tw).any(axis=(1, 3))
+    if not hits.any():
         return None
-    return np.stack(picked).mean(axis=(0, 1))
+    tiles = weights.reshape((n, th, tw) + weights.shape[1:])
+    return tiles[np.broadcast_to(hits, (n, th, tw))].mean(axis=(0, 1))
 
 
 def attention_mosaic(mean_weights: np.ndarray, ratio: int, window: int) -> np.ndarray:
@@ -107,8 +103,8 @@ def export_attention(model: ToyNet, cfg: RunConfig, sample_index: int,
             "no attention-bearing decoder stages in this model")
         return result
     for rec in records:
-        mean = positive_window_mean(rec.weights, rec.coords, rec.query_shape,
-                                    rec.ratio, rec.window, sample.mask)
+        mean = positive_window_mean(rec.weights, rec.query_shape, rec.ratio, rec.window,
+                                    sample.mask)
         stage = rec.layer_index + 1
         if mean is None:
             result.notices.append(

@@ -43,14 +43,6 @@ class WindowGrid:
         th, tw = self.tiles
         return self.source_shape[0] * th * tw
 
-    def coords(self) -> list[tuple[int, int, int]]:
-        """(batch, tile_row, tile_col) for each window, in block order."""
-        th, tw = self.tiles
-        return [(n, r, c)
-                for n in range(self.source_shape[0])
-                for r in range(th)
-                for c in range(tw)]
-
 
 def partition(x: Tensor, window: int | None) -> WindowGrid:
     if x.ndim != 4:

@@ -85,6 +85,11 @@ class TestMeasure:
         with pytest.raises(ContractError):
             measure("wad", 4, 4, 4, 3, 2)
 
+    def test_ad_rejects_window(self):
+        # a global decode has no window; a row labelled m2=4 would misreport it
+        with pytest.raises(ContractError, match="window"):
+            measure("ad", 8, 8, 16, 3, 2, m2=4)
+
     def test_csv_row_contains_worked_value(self):
         rep = measure("wad", 8, 8, 16, 3, 2, m2=4)
         assert "1605632" in rep.csv_row()

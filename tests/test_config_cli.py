@@ -377,12 +377,20 @@ class TestCliExportViz:
     def test_all_negative_mask_selects_no_windows(self):
         from wau.viz import positive_window_mean
 
-        weights = np.full((2, 4, 16, 4), 0.25)
-        coords = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
-        mean = positive_window_mean(weights, coords, (1, 4, 8, 8),
-                                    ratio=2, window=2,
+        weights = np.full((4, 2, 16, 4), 0.25)
+        mean = positive_window_mean(weights, (1, 4, 8, 8), ratio=2, window=2,
                                     mask=np.zeros((16, 16), dtype=np.int64))
         assert mean is None
+
+    def test_positive_pixel_selects_the_windows_over_it(self):
+        from wau.viz import positive_window_mean
+
+        # (N=2, 2x2 tiles) windows; the mask's tile (1, 0) is positive
+        weights = np.random.default_rng(0).random((8, 2, 16, 4))
+        mask = np.zeros((16, 16), dtype=np.int64)
+        mask[12, 3] = 1
+        mean = positive_window_mean(weights, (2, 4, 8, 8), ratio=2, window=2, mask=mask)
+        np.testing.assert_array_equal(mean, weights[[2, 6]].mean(axis=(0, 1)))
 
     def test_no_attention_stages_notice_and_no_files(self, tmp_path, capsys):
         ini = tmp_path / "plain.ini"

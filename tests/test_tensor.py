@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 import wau
 from conftest import naive_attention
 from wau.analysis import gradcheck
-from wau.conv import bilinear_upsample
+from wau.conv import TransposedConv, bilinear_upsample, transposed_conv_upsample
 from wau.tensor import (ContractError, NumericsError, ShapeError, Tape,
                         Tensor, add, layer_norm, mul, record, relu,
                         sum_all, tensor, uniform_param, window_attention, zeros)
@@ -213,16 +213,34 @@ class TestTapeBackward:
             with pytest.raises(ContractError):
                 tape.backward(y)
 
-    def test_nonfinite_forward_raises(self):
-        x = tensor([1e30], precision="single")
-        x.requires_grad = True
-        with Tape(), np.errstate(over="ignore"):
-            with pytest.raises(NumericsError):
-                mul(x, x)  # overflows float32 -> inf, caught at the op
-
     def test_nonfinite_input_rejected_at_construction(self):
         with pytest.raises(NumericsError):
             tensor([np.nan])
+
+    # A computed op whose output is not finite raises under its tape name.
+    # The convolutions, maxpool2, window_attention and seg_loss have their
+    # own such tests beside their kernels.
+    @pytest.mark.parametrize("name", ["add", "mul", "relu", "sum_all", "layer_norm",
+                                      "bilinear_upsample", "pixel_shuffle"])
+    def test_nonfinite_output_names_the_op(self, rng, name):
+        def raw(*shape, fill=1.0):
+            return Tensor(np.full(shape, fill, dtype=np.float32))
+
+        big, inf = raw(2, 3, fill=3e38), raw(1, 2, 2, 2, fill=np.inf)
+        tc = TransposedConv(2, 2, 2, rng)
+        tc.bias.data[:] = np.inf  # the phase convolution stays finite
+        ops = {
+            "add": lambda: add(big, big),
+            "mul": lambda: mul(big, big),
+            "relu": lambda: relu(inf),
+            "sum_all": lambda: sum_all(big),
+            "layer_norm": lambda: layer_norm(inf, raw(2), raw(2)),
+            "bilinear_upsample": lambda: bilinear_upsample(inf, 2),
+            "pixel_shuffle": lambda: transposed_conv_upsample(raw(1, 2, 2, 2), tc),
+        }
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericsError, match=rf"^non-finite values in output of {name}$"):
+            ops[name]()
 
     def test_no_tape_records_nothing(self):
         x = tensor([1.0, 2.0])

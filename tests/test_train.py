@@ -2,11 +2,14 @@
 import hashlib
 import re
 import struct
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wau.tensor
 from wau.config import (ConfigError, DataConfig, ModelConfig, RunConfig, TrainConfig,
                         parse_config)
 from wau.tensor import Tape, tensor
@@ -74,19 +77,54 @@ class TestBookkeeping:
             TrainRun(cfg)
 
 
-def test_reference_train_step_records_39_tape_nodes():
-    # The README quotes this count and the benchmark reports it as
-    # tensor.nodes_per_step.wau: 38 nodes for the net, 1 for the loss.
+def reference_step(upsampler: str = "wau"):
+    """The reference net (`configs/acceptance.ini`) with `upsampler`, and
+    its first batch as (images, masks)."""
     cfg = parse_config(Path(__file__).parents[1] / "configs" / "acceptance.ini")
+    cfg.model.upsampler = upsampler
     d = cfg.data
     samples = gen_dataset(cfg.train.batch_size, d.height, d.width, d.classes, cfg.train.seed)
     x = tensor(np.stack([s.image for s in samples]), precision=cfg.train.precision)
-    model = build_model_from_config(cfg)
+    return build_model_from_config(cfg), x, np.stack([s.mask for s in samples])
+
+
+def test_reference_train_step_records_39_tape_nodes():
+    # The README quotes this count and the benchmark reports it as
+    # tensor.nodes_per_step.wau: 38 nodes for the net, 1 for the loss.
+    model, x, masks = reference_step()
     with Tape() as tape:
         logits = model.forward(x)
         model_nodes = len(tape)
-        seg_loss(logits, np.stack([s.mask for s in samples]), d.classes)
-    assert (cfg.model.upsampler, model_nodes, len(tape)) == ("wau", 38, 39)
+        seg_loss(logits, masks, model.classes)
+    assert (model.upsampler, model_nodes, len(tape)) == ("wau", 38, 39)
+
+
+# Tape ops of each upsampler that only re-lay values already checked.
+RELAYOUTS = {"wau": {"window_partition", "window_merge"}, "bilinear": set(),
+             "transposed": {"transposed_phase_weight"}}
+
+
+@pytest.mark.parametrize("upsampler", sorted(RELAYOUTS))
+def test_every_computed_node_checks_its_output(upsampler, monkeypatch):
+    # Every node of a taped step checks its output for finite values under
+    # its own tape name, but for the re-layouts.
+    checked = Counter()
+    check = wau.tensor._check_finite
+
+    def logged(arr, op, role="output"):
+        checked[op] += 1
+        check(arr, op, role)
+
+    # Every module holding the checker: an op module that imported it by
+    # name would bypass a patch of wau.tensor alone.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wau") and vars(module).get("_check_finite") is check:
+            monkeypatch.setattr(module, "_check_finite", logged)
+    model, x, masks = reference_step(upsampler)
+    with Tape() as tape:
+        loss = seg_loss(model.forward(x), masks, model.classes)
+        tape.backward(loss)
+    assert set(Counter(node.name for node in tape._nodes) - checked) == RELAYOUTS[upsampler]
 
 
 # The first 12 steps of the reference run (`configs/acceptance.ini`) for each
