@@ -182,6 +182,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"[train] checkpoint_every must be >= 0, got {t.checkpoint_every}")
     if d.noise_sigma < 0:
         raise ConfigError(f"[data] noise_sigma must be >= 0, got {d.noise_sigma}")
+    if d.height < 4 or d.width < 4:
+        # The generator's own floor, checked here because splits are built lazily.
+        raise ConfigError(f"[data] images must be at least 4x4, got {d.height}x{d.width}")
     if a.ratio < 2:
         raise ConfigError(f"[analysis] ratio must be >= 2, got {a.ratio}")
     if a.step <= 0 or a.threshold <= 0:

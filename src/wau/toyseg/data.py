@@ -4,6 +4,12 @@ Every sample is a pure function of (seed, index), so datasets regenerate
 identically across runs and machines without touching disk. Class c paints
 at intensity c/K on a zero background; with zero noise the mask is exactly
 recoverable by thresholding, which pins down the labels-vs-image alignment.
+
+Masks are stored in `label_dtype(classes)`, the smallest unsigned integer
+type that holds every label 0..K: uint8 up to 255 classes, uint16 beyond.
+Everything downstream (augmentation, batching, the loss's one-hot, the
+metrics, predicted labels) keeps that dtype, so a 128x128 mask takes 16 KiB
+rather than the 128 KiB of int64.
 """
 from __future__ import annotations
 
@@ -17,8 +23,13 @@ from ..tensor import ContractError
 @dataclass
 class SynthSample:
     image: np.ndarray   # (1, H, W) float32, channel first
-    mask: np.ndarray    # (H, W)  integer labels in 0..K
+    mask: np.ndarray    # (H, W)  labels in 0..K, dtype label_dtype(K)
     index: int
+
+
+def label_dtype(classes: int) -> np.dtype:
+    """The smallest unsigned integer dtype that holds labels 0..classes."""
+    return np.min_scalar_type(classes)
 
 
 def _draw_shape(mask: np.ndarray, label: int, rng: np.random.Generator) -> None:
@@ -41,7 +52,7 @@ def _draw_shape(mask: np.ndarray, label: int, rng: np.random.Generator) -> None:
 def make_sample(index: int, h: int, w: int, classes: int, seed: int,
                 noise_sigma: float = 0.1) -> SynthSample:
     rng = np.random.default_rng([seed, index])
-    mask = np.zeros((h, w), dtype=np.int64)
+    mask = np.zeros((h, w), dtype=label_dtype(classes))
     for label in range(1, classes + 1):
         for _ in range(int(rng.integers(1, 4))):
             _draw_shape(mask, label, rng)

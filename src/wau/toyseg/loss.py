@@ -14,13 +14,15 @@ for c ≥ 1 and 0 for the background, is
     dz = p∘(g_p - Σ_c p_c·g_p,c) + (p - y)/M
 
 and keeps only the log-probabilities and the per-class D_c and den_c. It
-rebuilds the one-hot from a reference to the caller's integer masks.
+rebuilds the one-hot from a reference to the caller's integer masks, of any
+integer dtype (generated masks come in `data.label_dtype`).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ..tensor import ContractError, ShapeError, Tensor, op_result
+from .data import label_dtype
 
 SMOOTH = 1e-6
 
@@ -40,8 +42,12 @@ def seg_loss(logits: Tensor, masks: np.ndarray, classes: int) -> Tensor:
     z = logits.data
     pixels, dtype = n * h * w, z.dtype
 
+    # Labels 0..classes in the generator's dtype, so its masks compare
+    # without widening; other integer masks promote as usual.
+    labels = np.arange(ch, dtype=label_dtype(classes))
+
     def one_hot() -> np.ndarray:
-        return (masks[:, None] == np.arange(ch).reshape(ch, 1, 1)).astype(dtype)
+        return (masks[:, None] == labels.reshape(ch, 1, 1)).astype(dtype)
 
     shifted = z - z.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))

@@ -1,4 +1,8 @@
-"""Overlap and boundary metrics on integer label masks.
+"""Overlap and boundary metrics on integer label masks, and predicted labels.
+
+Masks come in `data.label_dtype(K)` (uint8 up to 255 classes), and
+`predicted_labels` turns logits into labels of that same dtype, so a
+prediction and its target compare without widening either.
 
 Conventions, fixed here and relied on by the trainer:
   dice   both masks empty -> 1.0 (perfect agreement on absence)
@@ -17,6 +21,25 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import ShapeError
+from .data import label_dtype
+
+
+def predicted_labels(logits: np.ndarray) -> np.ndarray:
+    """Per-pixel labels of (N, K+1, H, W) finite logits, in label_dtype(K).
+
+    Equal to logits.argmax(axis=1), first maximum on ties: a channel takes a
+    pixel only when it is strictly greater than every earlier channel there,
+    so +0.0 never beats an earlier -0.0."""
+    if logits.ndim != 4 or logits.shape[1] < 2:
+        raise ShapeError(f"predicted_labels expects (N, K+1, H, W) logits with "
+                         f"K >= 1, got {logits.shape}")
+    ch = logits.shape[1]
+    best = logits[:, 0]
+    labels = np.greater(logits[:, 1], best).astype(label_dtype(ch - 1))
+    for c in range(2, ch):
+        best = np.maximum(best, logits[:, c - 1])
+        labels[logits[:, c] > best] = c
+    return labels
 
 
 def dice_score(pred: np.ndarray, target: np.ndarray, label: int) -> float:

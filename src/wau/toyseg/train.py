@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,9 @@ import numpy as np
 from ..config import ConfigError, RunConfig, parse_config_text, serialize_config
 from ..tensor import NumericsError, ShapeError, Tape, Tensor, tensor
 from ..tensorio import read_tensor, write_tensor
-from .data import augment, gen_dataset
+from .data import SynthSample, augment, gen_dataset
 from .loss import seg_loss
-from .metrics import mean_dice, mean_hausdorff
+from .metrics import mean_dice, mean_hausdorff, predicted_labels
 from .model import ToyNet
 from .optim import Adam, lr_at
 
@@ -65,18 +66,17 @@ def _check_geometry(cfg: RunConfig, model: ToyNet) -> None:
 
 
 class TrainRun:
-    """All mutable state of one training trajectory."""
+    """All mutable state of one training trajectory.
+
+    The train and val splits are generated on first use, so a checkpoint
+    load or an evaluation builds only what it reads."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.model = build_model_from_config(cfg)
         _check_geometry(cfg, self.model)
         d, t = cfg.data, cfg.train
-        self.train_set = gen_dataset(d.train_count, d.height, d.width, d.classes,
-                                     t.seed, d.noise_sigma, start_index=0)
-        self.val_set = gen_dataset(d.val_count, d.height, d.width, d.classes,
-                                   t.seed, d.noise_sigma, start_index=d.train_count)
-        if not self.train_set or not self.val_set:
+        if d.train_count < 1 or d.val_count < 1:
             raise ConfigError("training needs non-empty train and val splits")
         self.opt = Adam(self.model.parameters())
         self.rng = np.random.default_rng([t.seed, 1])
@@ -96,6 +96,18 @@ class TrainRun:
         self.sample_count = 0
         self.last_lr = 0.0
         self.history: list[str] = []
+
+    @cached_property
+    def train_set(self) -> list[SynthSample]:
+        d = self.cfg.data
+        return gen_dataset(d.train_count, d.height, d.width, d.classes,
+                           self.cfg.train.seed, d.noise_sigma, start_index=0)
+
+    @cached_property
+    def val_set(self) -> list[SynthSample]:
+        d = self.cfg.data
+        return gen_dataset(d.val_count, d.height, d.width, d.classes,
+                           self.cfg.train.seed, d.noise_sigma, start_index=d.train_count)
 
     # -- batching ------------------------------------------------------------
 
@@ -126,7 +138,7 @@ class TrainRun:
         tape.reset()
         self.last_lr = lr
         self.loss_sum += loss.item()
-        preds = logits.data.argmax(axis=1)
+        preds = predicted_labels(logits.data)
         for i in range(masks.shape[0]):
             self.dsc_sum += mean_dice(preds[i], masks[i], self.cfg.data.classes)
             self.sample_count += 1
@@ -140,7 +152,7 @@ class TrainRun:
             chunk = self.val_set[lo:lo + t.batch_size]
             x = tensor(np.stack([s.image for s in chunk]), precision=t.precision)
             logits = self.model.forward(x)
-            preds = logits.data.argmax(axis=1)
+            preds = predicted_labels(logits.data)
             for i, s in enumerate(chunk):
                 dscs.append(mean_dice(preds[i], s.mask, self.cfg.data.classes))
                 hds.append(mean_hausdorff(preds[i], s.mask, self.cfg.data.classes))
@@ -223,7 +235,7 @@ class TrainRun:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{state_file}: missing or malformed entry: {exc!r}") from exc
         if run.perm is not None and not np.array_equal(np.sort(run.perm),
-                                                       np.arange(len(run.train_set))):
+                                                       np.arange(cfg.data.train_count)):
             raise ConfigError(f"{state_file}: perm is not a permutation of the train set")
         history_lines = (ckpt / "history.csv").read_text().splitlines()
         run.history = history_lines[1:]
@@ -246,7 +258,7 @@ class TrainRun:
         t = self.cfg.train
         while self.epoch < t.epochs:
             if self.perm is None:
-                self.perm = self.rng.permutation(len(self.train_set))
+                self.perm = self.rng.permutation(self.cfg.data.train_count)
             while self.batch_pos < self.steps_per_epoch:
                 try:
                     self._train_step()

@@ -108,6 +108,7 @@ class TestConfigParsing:
         "[model]\nproj_kernel = 4\n",
         "[analysis]\nratio = 1\n",
         "[data]\nnoise_sigma = -1\n",
+        "[data]\nwidth = 2\n",
     ])
     def test_out_of_range_values_rejected(self, text):
         with pytest.raises(ConfigError):

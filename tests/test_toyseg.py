@@ -19,14 +19,16 @@ from wau import metering
 from wau.analysis import gradcheck
 from wau.tensor import (ContractError, NumericsError, ShapeError, Tape, Tensor, record,
                         tensor)
-from wau.toyseg.data import augment, gen_dataset, make_sample
+from wau.toyseg.data import augment, gen_dataset, label_dtype, make_sample
 from wau.toyseg.loss import seg_loss
-from wau.toyseg.metrics import (_directed_sq, dice_score, hausdorff,
-                                mean_dice, mean_hausdorff)
+from wau.toyseg.metrics import (_directed_sq, dice_score, hausdorff, mean_dice,
+                                mean_hausdorff, predicted_labels)
 from wau.toyseg.model import ToyNet
 from wau.toyseg.optim import Adam, lr_at
 
-masks8 = hnp.arrays(np.int64, (8, 8), elements=st.integers(0, 1))
+# 8x8 label masks with labels 0..2, as int64 or in the generator's uint8.
+masks8 = st.sampled_from([np.int64, np.uint8]).flatmap(
+    lambda dtype: hnp.arrays(dtype, (8, 8), elements=st.integers(0, 2)))
 
 
 @st.composite
@@ -63,8 +65,22 @@ class TestData:
         s = make_sample(0, 12, 20, 3, seed=0)
         assert s.image.shape == (1, 12, 20)
         assert s.mask.shape == (12, 20)
-        assert s.image.dtype == np.float32 and s.mask.dtype == np.int64
+        assert s.image.dtype == np.float32 and s.mask.dtype == label_dtype(3) == np.uint8
         assert set(np.unique(s.mask)) <= set(range(4))
+
+    @pytest.mark.parametrize("classes, dtype", [(1, np.uint8), (255, np.uint8),
+                                                (300, np.uint16)])
+    def test_mask_dtype_follows_class_count(self, classes, dtype):
+        assert label_dtype(classes) == dtype
+        s = make_sample(0, 8, 8, classes, seed=0, noise_sigma=0.0)
+        assert s.mask.dtype == dtype
+        # every label fits: the image encodes mask/classes exactly
+        np.testing.assert_array_equal(
+            s.image[0], (s.mask.astype(np.float64) / classes).astype(np.float32))
+
+    def test_split_holds_one_byte_per_mask_pixel(self):
+        split = gen_dataset(3, 128, 128, 1, seed=0)
+        assert sum(s.mask.nbytes for s in split) == 3 * 128 * 128
 
     @pytest.mark.parametrize("h, w, classes, digest", [
         (16, 16, 1, "aff7619f01a194c103be2f83eba10c57a2aeac370b448cb0200b1ef672d95114"),
@@ -76,11 +92,12 @@ class TestData:
     ])
     def test_samples_pinned_bytewise(self, h, w, classes, digest):
         """Mask and image bytes of four samples; any change to the generator's
-        arithmetic moves every dataset, so it must be deliberate."""
+        arithmetic moves every dataset, so it must be deliberate. Masks are
+        hashed as int64, so the digests do not depend on the label dtype."""
         sha = hashlib.sha256()
         for index in range(4):
             s = make_sample(index, h, w, classes, seed=5)
-            sha.update(s.mask.tobytes())
+            sha.update(s.mask.astype(np.int64).tobytes())
             sha.update(s.image.tobytes())
         assert sha.hexdigest() == digest
 
@@ -124,6 +141,7 @@ class TestData:
         s = make_sample(0, 16, 16, 1, seed=0)
         img, msk = augment(s.image, s.mask, np.random.default_rng(1))
         assert img.flags["C_CONTIGUOUS"] and msk.flags["C_CONTIGUOUS"]
+        assert (img.dtype, msk.dtype) == (np.float32, np.uint8)
 
 
 class TestModel:
@@ -325,6 +343,14 @@ class TestMetrics:
         assert 0.0 <= d <= 1.0
         assert d == dice_score(b, a, 1)
 
+    @given(a=masks8, b=masks8)
+    def test_mean_metrics_agree_across_label_dtypes(self, a, b):
+        # the same labels as int64, uint8 or a mix score exactly the same
+        want = (mean_dice(a.astype(np.int64), b.astype(np.int64), 2),
+                mean_hausdorff(a.astype(np.int64), b.astype(np.int64), 2))
+        for pa, pb in ((a.astype(np.uint8), b.astype(np.uint8)), (a, b)):
+            assert (mean_dice(pa, pb, 2), mean_hausdorff(pa, pb, 2)) == want
+
     def test_hausdorff_identity_and_symmetry(self):
         a = np.zeros((6, 6), dtype=np.int64)
         a[2, 3] = 1
@@ -450,6 +476,43 @@ class TestMetrics:
                 [hausdorff(pred == c, gt == c) for c in (1, 2, 3)])
 
 
+class TestPredictedLabels:
+    @staticmethod
+    def tied_logits(rng, shape, dtype):
+        """Logits drawn from a few values, so most pixels tie, +0.0 against
+        -0.0 included."""
+        values = np.array([-1.5, -0.0, 0.0, 0.25, 2.0], dtype=dtype)
+        return values[rng.integers(0, len(values), size=shape)]
+
+    @pytest.mark.parametrize("channels", [2, 3, 4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_argmax_first_maximum(self, channels, dtype):
+        rng = np.random.default_rng(channels)
+        shape = (3, channels, 9, 7)
+        for z in (self.tied_logits(rng, shape, dtype),
+                  rng.standard_normal(shape).astype(dtype)):
+            got = predicted_labels(z)
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, z.argmax(axis=1))
+
+    def test_signed_zero_tie_keeps_the_first_channel(self):
+        z = np.zeros((1, 3, 1, 2))
+        z[0, :, 0, 0] = [-0.0, 0.0, 0.0]
+        z[0, :, 0, 1] = [-1.0, -0.0, 0.0]
+        assert predicted_labels(z).tolist() == z.argmax(axis=1).tolist() == [[[0, 1]]]
+
+    def test_label_dtype_widens_past_255_classes(self):
+        z = np.random.default_rng(0).standard_normal((1, 301, 2, 3))
+        got = predicted_labels(z)
+        assert got.dtype == label_dtype(300) == np.uint16
+        np.testing.assert_array_equal(got, z.argmax(axis=1))
+
+    @pytest.mark.parametrize("shape", [(2, 4, 4), (1, 1, 4, 4)])
+    def test_rejects_what_is_not_class_logits(self, shape):
+        with pytest.raises(ShapeError):
+            predicted_labels(np.zeros(shape))
+
+
 class TestLoss:
     def test_uniform_logits_binary_ce_is_ln2(self):
         logits = tensor(np.zeros((1, 2, 4, 4)), precision="double")
@@ -537,6 +600,18 @@ class TestLoss:
         assert l32.data.dtype == np.float32 and g32.dtype == np.float32
         assert abs(l32.item() - l64.item()) <= 1e-5 * abs(l64.item())
         assert np.linalg.norm(g32 - g64) <= 1e-5 * np.linalg.norm(g64)
+
+    @pytest.mark.parametrize("classes", [1, 2, 3])
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_uint8_masks_bitwise_equal_int64(self, rng, classes, precision):
+        raw = rng.normal(size=(2, classes + 1, 6, 5)) * 2
+        masks = rng.integers(0, classes + 1, size=(2, 6, 5))
+        (l64, g64, _), (l8, g8, _) = (
+            self.loss_and_grad(tensor(raw, precision=precision, requires_grad=True),
+                               masks.astype(dtype), classes)
+            for dtype in (np.int64, np.uint8))
+        assert l8.data.tobytes() == l64.data.tobytes()
+        assert g8.tobytes() == g64.tobytes()
 
     def test_records_one_tape_node(self, rng):
         logits = tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)

@@ -66,6 +66,26 @@ class TestBookkeeping:
         with pytest.raises(ConfigError):
             TrainRun(cfg)
 
+    def test_labels_stay_in_the_mask_dtype(self, monkeypatch):
+        # Masks, batches and predictions reach the metrics as uint8.
+        seen = []
+
+        def logged(metric):
+            def wrapper(pred, target, classes):
+                seen.append((pred.dtype, target.dtype))
+                return metric(pred, target, classes)
+            return wrapper
+
+        for name in ("mean_dice", "mean_hausdorff"):
+            monkeypatch.setattr(train_module, name, logged(getattr(train_module, name)))
+        run = TrainRun(tiny_cfg())
+        run.perm = run.rng.permutation(run.cfg.data.train_count)
+        assert run._make_batch(run.perm[:2])[1].dtype == np.uint8
+        run._train_step()
+        run.validate()
+        assert len(seen) == 2 + 2 * 2
+        assert set(seen) == {(np.dtype(np.uint8), np.dtype(np.uint8))}
+
     def test_warmup_must_be_shorter_than_run(self):
         with pytest.raises(ConfigError):
             TrainRun(tiny_cfg(epochs=1, warmup_epochs=1))
@@ -86,6 +106,15 @@ def reference_step(upsampler: str = "wau"):
     samples = gen_dataset(cfg.train.batch_size, d.height, d.width, d.classes, cfg.train.seed)
     x = tensor(np.stack([s.image for s in samples]), precision=cfg.train.precision)
     return build_model_from_config(cfg), x, np.stack([s.mask for s in samples])
+
+
+@pytest.mark.parametrize("upsampler", ["bilinear", "transposed", "wad_only", "wau"])
+def test_batch_logits_are_bitwise_the_per_item_logits(upsampler):
+    # Tape-free: a sample's logits do not depend on what else is in its batch.
+    model, x, _ = reference_step(upsampler)
+    batch = model.forward(x).data
+    for i in range(x.shape[0]):
+        assert batch[i:i + 1].tobytes() == model.forward(tensor(x.data[i:i + 1])).data.tobytes()
 
 
 def test_reference_train_step_records_39_tape_nodes():
@@ -382,6 +411,28 @@ class TestCheckpointResume:
         assert state.read_text() != text
         with pytest.raises(ConfigError):
             TrainRun.load_checkpoint(state.parent)
+
+    def test_splits_are_built_only_when_read(self, tmp_path, monkeypatch):
+        # A load builds no split and `evaluate` only the val split (its
+        # samples start at train_count); resuming builds the train split.
+        cfg = tiny_cfg(checkpoint_every=2)
+        train(cfg, tmp_path / "run")
+        starts = []
+
+        def logged(*args, start_index):
+            starts.append(start_index)
+            return gen_dataset(*args, start_index=start_index)
+
+        monkeypatch.setattr(train_module, "gen_dataset", logged)
+        ckpt = tmp_path / "run" / "checkpoints" / "step_2"
+        TrainRun.load_checkpoint(tmp_path / "run" / "checkpoints" / "final")
+        assert starts == []
+        evaluate(cfg, ckpt)
+        assert starts == [cfg.data.train_count]
+        train(cfg, tmp_path / "resumed", resume=ckpt)
+        assert sorted(starts[1:]) == [0, cfg.data.train_count]
+        assert ((tmp_path / "resumed" / "metrics.csv").read_bytes()
+                == (tmp_path / "run" / "metrics.csv").read_bytes())
 
     def test_evaluate_matches_final_history_row(self, tmp_path):
         cfg = tiny_cfg()
