@@ -20,15 +20,20 @@ product, one output channel per group, can round a column differently by
 its place in the call.) The input gradient is the same kernel run on the
 zero-padded upstream gradient, with transposed taps at mirrored offsets; the
 weight gradient walks the same blocks; an input that needs no gradient (the
-image) gets none. The transposed upsampler runs on the same kernel, as n*n
-phase convolutions followed by a pixel shuffle.
+image) gets none.
+
+The factor-n transposed upsampler is one tap op on the same kernel. Its
+forward runs only each output phase's real taps, batched over the phases
+where their taps are shifts of each other, and writes each block straight
+into the interleaved output. Its backward is that of n*n zero-filled phase
+convolutions, whose per-tap products keep their current rounding.
 
 A taped conv keeps nothing for its backward but its output and references
 to its input and weights: the backward re-pads the input (at padding 0 a
 reshape, not a copy) instead of holding the forward's padded copy.
 
-The kernel counts no multiply-adds itself (the phase form runs zero taps);
-each layer reports its logical count.
+The kernel counts no multiply-adds itself (the transposed backward runs
+zero taps); each layer reports its logical count.
 
 Max pooling keeps no argmax array. Its forward pass is the max of each column
 pair, then of each row pair; its backward rebuilds the routing mask from the
@@ -42,8 +47,9 @@ import functools
 import numpy as np
 
 from . import metering
-from .tensor import (ContractError, ShapeError, Tensor, op_result, record, uniform_param,
-                     zeros, _match_precision)
+from .tensor import (ContractError, ShapeError, Tensor, op_result, uniform_param, zeros,
+                     _match_precision)
+from .tensor import record  # not called here; perfbench's tracer needs wau.conv.record
 
 CONV_VARIANTS = ("regular", "grouped", "depthwise_separable")
 
@@ -111,10 +117,10 @@ class ConvSpec:
 _BLOCK_COLS = 4096
 
 
-def _block_rows(H: int, Wp: int) -> int:
+def _block_rows(H: int, Wp: int, cols: int = _BLOCK_COLS) -> int:
     """Output rows per block: H rows of Wp padded-width columns split evenly
-    into as few blocks as keep each within _BLOCK_COLS (one row at least)."""
-    n_blocks = -(-H * Wp // _BLOCK_COLS)
+    into as few blocks as keep each within `cols` (one row at least)."""
+    n_blocks = -(-H * Wp // cols)
     return -(-H // n_blocks)
 
 
@@ -140,18 +146,20 @@ def _tap_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _correlate(src: np.ndarray, taps: np.ndarray, offsets: list[int], out: np.ndarray,
-               Wp: int, bias) -> None:
-    """out[n, (g, o), i, j] = bias + sum_t (taps[t, g] @ src[n, g, :, offsets[t] + i*Wp + j])[o].
+               Wp: int, bias, block_cols: int = _BLOCK_COLS) -> None:
+    """out[n, g.., o, i, j] = bias + sum_t (taps[t, g..] @ src[n, g.., :, offsets[t] + i*Wp + j])[o].
 
-    Walks the output rows in blocks of _block_rows: each block's k*k tap
-    products go to one block-sized temporary and add, in tap order, into a
-    block-sized sum, which is cropped to the W valid columns, plus `bias`, into
-    `out` (N, C, H, W). `bias=None` copies the sum as it is.
+    `g..` are the channel-block axes: a conv's groups, or the transposed
+    upsampler's phases. Walks the output rows in blocks of at most
+    `block_cols` padded-width columns: each block's tap products go to one
+    block-sized temporary and add, in tap order, into a block-sized sum, which
+    is cropped to the W valid columns, plus `bias`, into `out`: (N, C, H, W)
+    with the channels in (g.., o) order, or split as (N, g.., o, H, W).
+    `bias=None` copies the sum as it is.
     """
-    N, C, H, W = out.shape
-    G, c = taps.shape[1:3]
-    rows = _block_rows(H, Wp)
-    full = np.empty((N, G, c, min(rows, H) * Wp), dtype=out.dtype)
+    lead, (H, W) = out.shape[:-2], out.shape[-2:]
+    rows = _block_rows(H, Wp, block_cols)
+    full = np.empty(lead[:1] + taps.shape[1:-1] + (min(rows, H) * Wp,), dtype=out.dtype)
     full_tmp = np.empty_like(full)
     for r0 in range(0, H, rows):
         r1 = min(r0 + rows, H)
@@ -159,16 +167,47 @@ def _correlate(src: np.ndarray, taps: np.ndarray, offsets: list[int], out: np.nd
         acc, tmp = full, full_tmp
         if c1 - c0 < full.shape[-1]:
             # contiguous views of the last block: matmul cannot write a strided `out` with BLAS
-            acc = full.reshape(-1)[:N * C * (c1 - c0)].reshape(N, G, c, c1 - c0)
+            acc = full.reshape(-1)[:full.size // full.shape[-1] * (c1 - c0)].reshape(
+                full.shape[:-1] + (c1 - c0,))
             tmp = full_tmp.reshape(-1)[:acc.size].reshape(acc.shape)
         _tap_product(taps[0], src[..., offsets[0] + c0:offsets[0] + c1], acc)
         for t in range(1, len(offsets)):
             acc += _tap_product(taps[t], src[..., offsets[t] + c0:offsets[t] + c1], tmp)
-        block = acc.reshape(N, C, r1 - r0, Wp)[..., :W]
+        block = acc.reshape(lead + (r1 - r0, Wp))[..., :W]
         if bias is None:
-            out[:, :, r0:r1] = block
+            out[..., r0:r1, :] = block
         else:
-            np.add(block, bias, out=out[:, :, r0:r1])
+            np.add(block, bias, out=out[..., r0:r1, :])
+
+
+def _tap_grads(gf: np.ndarray, xd: np.ndarray, taps: np.ndarray, offsets: list[int],
+               Wp: int, need_gx: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """The input gradient (None unless `need_gx`) and the per-tap weight
+    gradient (k*k, G, co_g, ci_g) of a shifted-tap correlation of `xd` with
+    `taps` (k*k, G, co_g, ci_g), from `gf`, its upstream gradient padded like
+    the input: output column i*Wp + j of the forward's grid sits at p*Wp + p + i*Wp + j."""
+    N, C, H, W = xd.shape
+    G, p = taps.shape[1], (Wp - W) // 2
+    gx = None
+    if need_gx:
+        # The adjoint correlates gf with the transposed taps at mirrored
+        # offsets, in the same tap order. Adding +0.0 turns the -0 that
+        # negative taps times a zero gradient can sum to into +0.0.
+        gx = np.empty_like(xd)
+        _correlate(gf, taps.transpose(0, 1, 3, 2), [offsets[-1] - off for off in offsets],
+                   gx, Wp, 0.0)
+    # Re-padded rather than kept from the forward, so a taped conv holds
+    # no padded copy of its input.
+    xf = _pad_flat(xd, G, p)
+    g_wide = gf[..., p * Wp + p:]
+    gw = np.zeros((len(offsets), N) + taps.shape[1:], dtype=xd.dtype)
+    rows = _block_rows(H, Wp)
+    for r0 in range(0, H, rows):
+        c0, c1 = r0 * Wp, min(r0 + rows, H) * Wp
+        g_blk = g_wide[..., c0:c1]
+        for t, off in enumerate(offsets):
+            gw[t] += np.matmul(g_blk, xf[..., off + c0:off + c1].swapaxes(-1, -2))
+    return gx, gw.sum(axis=1)
 
 
 def _grouped_conv(x: Tensor, weight: Tensor, bias: Tensor | None, groups: int,
@@ -188,29 +227,10 @@ def _grouped_conv(x: Tensor, weight: Tensor, bias: Tensor | None, groups: int,
     need_gx, has_bias = x.requires_grad, bias is not None
 
     def fn(grad, acc):
-        # The upstream gradient padded like the input: output column i*Wp + j
-        # of the forward's grid sits at p*Wp + p + i*Wp + j.
-        gf = _pad_flat(grad, G, p)
+        gx, gw = _tap_grads(_pad_flat(grad, G, p), xd, taps, offsets, Wp, need_gx)
         if need_gx:
-            # The adjoint correlates gf with the transposed taps at mirrored
-            # offsets, in the same tap order. Adding +0.0 turns the -0 that
-            # negative taps times a zero gradient can sum to into +0.0.
-            gx = np.empty_like(xd)
-            _correlate(gf, taps.transpose(0, 1, 3, 2), [offsets[-1] - off for off in offsets],
-                       gx, Wp, 0.0)
             acc.add(0, gx)
-        # Re-padded rather than kept from the forward, so a taped conv holds
-        # no padded copy of its input.
-        xf = _pad_flat(xd, G, p)
-        g_wide = gf[..., p * Wp + p:]
-        gw = np.zeros((k * k, N, G, co_g, ci_g), dtype=xd.dtype)
-        rows = _block_rows(H, Wp)
-        for r0 in range(0, H, rows):
-            c0, c1 = r0 * Wp, min(r0 + rows, H) * Wp
-            g_blk = g_wide[..., c0:c1]
-            for t, off in enumerate(offsets):
-                gw[t] += np.matmul(g_blk, xf[..., off + c0:off + c1].swapaxes(-1, -2))
-        acc.add(1, gw.sum(axis=1).transpose(1, 2, 3, 0).reshape(C_out, ci_g, k, k))
+        acc.add(1, gw.transpose(1, 2, 3, 0).reshape(C_out, ci_g, k, k))
         if has_bias:
             acc.add(2, grad.sum(axis=(0, 2, 3), dtype=xd.dtype))
 
@@ -284,8 +304,8 @@ class TransposedConv:
 
     Kernel defaults to 2n with total zero padding kernel - n (split low/high),
     so the output is exactly n times the input in each spatial dimension.
-    Runs on the shifted-tap kernel as n*n phase convolutions plus a pixel
-    shuffle (see transposed_conv_upsample).
+    Runs on the shifted-tap kernel as one tap op over the n*n output phases
+    (see transposed_conv_upsample).
     """
 
     def __init__(self, in_channels: int, out_channels: int, factor: int,
@@ -312,15 +332,52 @@ class TransposedConv:
         return transposed_conv_upsample(x, self)
 
 
-def transposed_conv_upsample(x: Tensor, layer: TransposedConv) -> Tensor:
-    """The transposed convolution as n*n phase convolutions plus a pixel shuffle.
+def _phase_taps(n: int, k: int) -> tuple[np.ndarray, np.ndarray, int, list]:
+    """One axis of a factor-n, kernel-k transposed convolution in phase form.
 
     Output row n*m + phase receives input row m + d through kernel tap
     a = phase + lo - n*d, with lo = (k - n)//2, so each tap has exactly one
-    (phase, d). The weight thus re-lays, zero-filled, into a phase weight
-    (n*n*C_out, C, K, K) with K = 2*max|d| + 1 for the shifted-tap kernel;
-    its output channel (co, py, px) is output pixel (n*i + py, n*j + px) of
-    channel co.
+    (phase, d). Returns each tap's phase and padded-input row d + p, the
+    padding p = max|d|, and the phase groups the forward batches into one
+    call: (first phase, row stride s, taps (phases, slots)), slot j of the
+    group's i-th phase reading padded row row[taps[0, j]] + i*s. The phases
+    form one group when their rows are such shifts of each other (factor 2,
+    kernel 4: rows {0, 1} and {1, 2}); else each is its own group.
+    """
+    a = np.arange(k)
+    phase = (a - (k - n) // 2) % n
+    d = (phase + (k - n) // 2 - a) // n
+    p = int(np.abs(d).max())
+    row = d + p
+    # within a phase d falls as a rises, so reversed taps read rows in ascending order
+    by_phase = [a[phase == py][::-1] for py in range(n)]
+    if k % n == 0:
+        stacked = np.stack(by_phase)
+        rows = row[stacked]
+        s = int(rows[1, 0] - rows[0, 0]) if n > 1 else 0
+        if (rows == rows[0] + s * np.arange(n)[:, None]).all():
+            return phase, row, p, [(0, s, stacked)]
+    return phase, row, p, [(py, 0, taps[None]) for py, taps in enumerate(by_phase)]
+
+
+def transposed_conv_upsample(x: Tensor, layer: TransposedConv) -> Tensor:
+    """The transposed convolution as one tap op over its n*n output phases.
+
+    Output pixel (n*i + py, n*j + px) of channel co is phase (py, px): a
+    stride-1 correlation of the input, padded by p (see _phase_taps), with
+    only that phase's real taps, added in ascending (row, column) order of
+    the input they read, plus the bias. The forward runs `_correlate` once
+    per phase group, over a strided (phase_y, phase_x) view of the padded
+    input, and writes each block straight into the shuffled output. The
+    sums equal those of one conv over zero-filled (K, K) phase kernels,
+    K = 2p + 1, bit for bit where C_out > 1 (at C_out = 1 BLAS can round a
+    one-row product differently).
+
+    The backward runs on those zero-filled phase taps: the upstream gradient
+    padded into the phase-major layout in one copy, then the conv's input
+    and weight gradients; the weight's is the gather at the real taps. Their
+    GEMMs keep the zero rows, because OpenBLAS rounds a row of an (M x K)
+    product by M once K is large (K = H*W for the weight gradient).
     """
     if x.ndim != 4:
         raise ShapeError(f"transposed_conv_upsample expects (N, C, H, W), got {x.shape}")
@@ -328,42 +385,51 @@ def transposed_conv_upsample(x: Tensor, layer: TransposedConv) -> Tensor:
         raise ShapeError(
             f"transposed conv: input has {x.shape[1]} channels, layer wants {layer.in_channels}")
     _match_precision(x, layer.weight, "transposed_conv_upsample")
-    N, C, H, W = x.shape
+    xd, wd = x.data, layer.weight.data
+    N, C, H, W = xd.shape
     n, k, C_out = layer.factor, layer.kernel, layer.out_channels
-    a = np.arange(k)
-    phase = (a - (k - n) // 2) % n
-    d = (phase + (k - n) // 2 - a) // n
-    p = int(np.abs(d).max())
-    tap, K = d + p, 2 * p + 1
-    # (C_out, n, n, C, K, K) positions of the (k, k, C_out, C) kernel taps:
-    # one-to-one, so the weight gradient is a gather of the phase gradient.
-    where = (slice(None), phase[:, None], phase[None, :], slice(None), tap[:, None], tap[None, :])
-    wide = np.zeros((C_out, n, n, C, K, K), dtype=x.data.dtype)
-    wide[where] = layer.weight.data.transpose(2, 3, 1, 0)
-    phase_weight = Tensor(wide.reshape(n * n * C_out, C, K, K))
-    wide_shape = wide.shape
-    record("transposed_phase_weight", (layer.weight,), phase_weight,
-           lambda g, acc: acc.add(0, g.reshape(wide_shape)[where].transpose(3, 2, 0, 1)))
-
-    phases = _grouped_conv(x, phase_weight, None, 1, "transposed_conv_upsample")
+    phase, row, p, groups = _phase_taps(n, k)
+    Hp, Wp = H + 2 * p, W + 2 * p
+    xf = _pad_flat(xd, 1, p)
+    item = xf.itemsize
+    wt = wd.transpose(2, 3, 1, 0)                           # (k, k, C_out, C)
+    out = np.empty((N, C_out, H, n, W, n), dtype=xd.dtype)
+    by_phase = out.transpose(0, 3, 5, 1, 2, 4)              # (N, n, n, C_out, H, W)
+    bias = layer.bias.data.reshape(C_out, 1, 1)
+    for py0, sy, ay in groups:
+        for px0, sx, ax in groups:
+            (ny, ty), (nx, tx) = ay.shape, ax.shape
+            taps = wt[ay.T[:, None, :, None], ax.T[None, :, None, :]].reshape(
+                ty * tx, ny, nx, C_out, C)
+            offsets = [ry * Wp + rx for ry in row[ay[0]] for rx in row[ax[0]]]
+            # src[m, i, j, c, col] = xf[m, 0, c, col + i*sy*Wp + j*sx]
+            src = np.lib.stride_tricks.as_strided(
+                xf, (N, ny, nx, C, xf.shape[-1] - (ny - 1) * sy * Wp - (nx - 1) * sx),
+                (xf.strides[0], sy * Wp * item, sx * item, xf.strides[2], item), writeable=False)
+            # a block holds ny*nx phases of C_out rows: as many bytes as a conv's
+            _correlate(src, taps, offsets, by_phase[:, py0:py0 + ny, px0:px0 + nx], Wp, bias,
+                       _BLOCK_COLS // (ny * nx))
     metering.add_macs(N * H * W * C * C_out * k * k)
-
-    # One strided copy per phase: a single 6-d transpose copy is ~3x slower.
-    shuffled = np.empty((N, C_out, H, n, W, n), dtype=x.data.dtype)
-    by_phase = phases.data.reshape(N, C_out, n, n, H, W)
-    bias = layer.bias.data.reshape(1, C_out, 1, 1)
-    for py in range(n):
-        for px in range(n):
-            np.add(by_phase[:, :, py, px], bias, out=shuffled[:, :, :, py, :, px])
-    shuffled_shape, phases_shape, dtype = shuffled.shape, phases.shape, x.data.dtype
+    need_gx, dtype, K = x.requires_grad, xd.dtype, 2 * p + 1
+    # (K, K, C_out, n, n, C) positions of the (k, k, C_out, C) kernel taps:
+    # one-to-one, so the weight gradient is a gather of the phase gradient.
+    where = (row[:, None], row[None, :], slice(None), phase[:, None], phase[None, :])
 
     def fn(g, acc):
-        acc.add(0, g.reshape(shuffled_shape).transpose(0, 1, 3, 5, 2, 4)
-                .reshape(phases_shape))
-        acc.add(1, g.sum(axis=(0, 2, 3), dtype=dtype))
+        gf = np.zeros((N, 1, n * n * C_out, Hp * Wp + 2 * p), dtype=dtype)
+        gf[..., :Hp * Wp].reshape(N, C_out, n, n, Hp, Wp)[..., p:p + H, p:p + W] = \
+            g.reshape(N, C_out, H, n, W, n).transpose(0, 1, 3, 5, 2, 4)
+        wide = np.zeros((K, K, C_out, n, n, C), dtype=dtype)
+        wide[where] = wd.transpose(2, 3, 1, 0)
+        gx, gw = _tap_grads(gf, xd, wide.reshape(K * K, 1, n * n * C_out, C),
+                            [di * Wp + dj for di in range(K) for dj in range(K)], Wp, need_gx)
+        if need_gx:
+            acc.add(0, gx)
+        acc.add(1, gw.reshape(wide.shape)[where].transpose(3, 2, 0, 1))
+        acc.add(2, g.sum(axis=(0, 2, 3), dtype=dtype))
 
-    return op_result("pixel_shuffle", (phases, layer.bias),
-                     shuffled.reshape(N, C_out, n * H, n * W), fn)
+    return op_result("transposed_conv_upsample", (x, layer.weight, layer.bias),
+                     out.reshape(N, C_out, n * H, n * W), fn)
 
 
 def maxpool2(x: Tensor) -> Tensor:

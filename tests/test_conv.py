@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from conftest import naive_bilinear, naive_conv2d, naive_transposed
 from wau import metering
 from wau.analysis import gradcheck
-from wau.conv import (ConvSpec, TransposedConv, _axis_matrix, _block_rows, bilinear_upsample,
-                      conv2d, maxpool2, transposed_conv_upsample)
-from wau.tensor import (ContractError, NumericsError, ShapeError, Tape, Tensor, mul,
-                        sum_all, tensor)
+from wau.conv import (ConvSpec, TransposedConv, _axis_matrix, _block_rows, _grouped_conv,
+                      bilinear_upsample, conv2d, maxpool2, transposed_conv_upsample)
+from wau.tensor import (ContractError, NumericsError, ShapeError, Tape, Tensor, mul, op_result,
+                        record, sum_all, tensor)
 
 
 def dtensor(arr, grad=False):
@@ -369,12 +369,97 @@ class TestBilinear:
             single = bilinear_upsample(tensor(x_arr[i:i + 1]), 2).numpy()
             np.testing.assert_array_equal(batched[i:i + 1], single)
 
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_input_grad_batch_bitwise_equals_per_item(self, rng, factor):
+        x_arr = rng.normal(size=(3, 4, 9, 7)).astype(np.float32)
+        weights = rng.normal(size=(3, 4, 9 * factor, 7 * factor)).astype(np.float32)
+
+        def input_grad(one):
+            x = tensor(x_arr[one])
+            x.requires_grad = True
+            with Tape() as tape:
+                tape.backward(sum_all(mul(bilinear_upsample(x, factor), tensor(weights[one]))))
+            return x.grad
+
+        batched = input_grad(slice(0, 3))
+        for i in range(3):
+            np.testing.assert_array_equal(batched[i:i + 1], input_grad(slice(i, i + 1)))
+
     def test_factor_must_be_positive(self, rng):
         with pytest.raises(ContractError):
             bilinear_upsample(tensor(np.zeros((1, 1, 2, 2), dtype=np.float32)), 0)
 
 
+def phase_conv_transposed(x: Tensor, layer: TransposedConv) -> Tensor:
+    """The transposed upsampler in its unfused phase form, the bitwise reference
+    of transposed_conv_upsample: the weight re-laid, zero-filled, into a phase
+    weight (n*n*C_out, C, K, K); one stride-1 conv over all K*K taps, zero taps
+    included; then a pixel shuffle plus bias. Three tape nodes."""
+    N, C, H, W = x.shape
+    n, k, C_out = layer.factor, layer.kernel, layer.out_channels
+    a = np.arange(k)
+    phase = (a - (k - n) // 2) % n
+    d = (phase + (k - n) // 2 - a) // n
+    p = int(np.abs(d).max())
+    tap, K = d + p, 2 * p + 1
+    where = (slice(None), phase[:, None], phase[None, :], slice(None), tap[:, None], tap[None, :])
+    wide = np.zeros((C_out, n, n, C, K, K), dtype=x.data.dtype)
+    wide[where] = layer.weight.data.transpose(2, 3, 1, 0)
+    phase_weight = Tensor(wide.reshape(n * n * C_out, C, K, K))
+    record("transposed_phase_weight", (layer.weight,), phase_weight,
+           lambda g, acc: acc.add(0, g.reshape(wide.shape)[where].transpose(3, 2, 0, 1)))
+    phases = _grouped_conv(x, phase_weight, None, 1, "phase_conv")
+    shuffled = np.empty((N, C_out, H, n, W, n), dtype=x.data.dtype)
+    by_phase = phases.data.reshape(N, C_out, n, n, H, W)
+    for py in range(n):
+        for px in range(n):
+            np.add(by_phase[:, :, py, px], layer.bias.data.reshape(1, C_out, 1, 1),
+                   out=shuffled[:, :, :, py, :, px])
+
+    def fn(g, acc):
+        acc.add(0, g.reshape(shuffled.shape).transpose(0, 1, 3, 5, 2, 4).reshape(phases.shape))
+        acc.add(1, g.sum(axis=(0, 2, 3), dtype=x.data.dtype))
+
+    return op_result("pixel_shuffle", (phases, layer.bias),
+                     shuffled.reshape(N, C_out, n * H, n * W), fn)
+
+
 class TestTransposed:
+    @staticmethod
+    def outputs_and_grads(op, layer, x_arr, weights):
+        """op's output and the gradients of sum(op(x) * weights) wrt x, the
+        layer's weight and its bias, as bytes."""
+        precision = "double" if x_arr.dtype == np.float64 else "single"
+        x = tensor(x_arr, precision=precision)
+        x.requires_grad = True
+        layer.weight.grad = layer.bias.grad = None
+        with Tape() as tape:
+            out = op(x, layer)
+            tape.backward(sum_all(mul(out, tensor(weights, precision=precision))))
+        return [a.tobytes() for a in (out.data, x.grad, layer.weight.grad, layer.bias.grad)]
+
+    # N in {1, 3, 4} on small maps, and a 64 x 64 map: more than one row
+    # block, in the forward (_BLOCK_COLS / n**2 columns) and the backward.
+    @pytest.mark.parametrize("shape", [(1, 16, 5, 6), (3, 16, 5, 6), (4, 5, 6, 5),
+                                       (2, 16, 64, 64)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("factor,k", [(2, 4), (2, 2), (2, 3), (2, 5), (3, 3), (3, 4),
+                                          (3, 6), (4, 8)])
+    def test_bitwise_equals_phase_conv_reference(self, rng, factor, k, dtype, shape):
+        # The fused op adds each output's real taps in the reference's tap
+        # order and runs the reference's backward. (At C_out = 1 a phase's
+        # product is a matrix-vector one, whose last bit can differ.)
+        N, C, H, W = shape
+        C_out = 8 if H > 32 else 3
+        tc = TransposedConv(C, C_out, factor, rng, kernel=k,
+                            precision="double" if dtype == np.float64 else "single")
+        tc.bias.data = rng.normal(size=C_out).astype(dtype)
+        x_arr = rng.normal(size=shape).astype(dtype)
+        weights = rng.normal(size=(N, C_out, factor * H, factor * W)).astype(dtype)
+        got = self.outputs_and_grads(transposed_conv_upsample, tc, x_arr, weights)
+        want = self.outputs_and_grads(phase_conv_transposed, tc, x_arr, weights)
+        assert [g == w for g, w in zip(got, want)] == [True] * 4
+
     def test_zero_weights_zero_output(self, rng):
         tc = TransposedConv(2, 3, 2, rng)
         tc.weight.data[:] = 0.0
@@ -429,6 +514,20 @@ class TestTransposed:
         for i in range(3):
             single = transposed_conv_upsample(tensor(x_arr[i:i + 1]), tc).numpy()
             np.testing.assert_array_equal(batched[i:i + 1], single)
+
+    @pytest.mark.parametrize("hw", [(5, 6), (64, 64)])
+    @pytest.mark.parametrize("factor,k", [(2, 4), (3, 6)])
+    def test_input_grad_batch_bitwise_equals_per_item(self, rng, factor, k, hw):
+        tc = TransposedConv(16, 8, factor, rng, kernel=k)
+        x_arr = rng.normal(size=(3, 16) + hw).astype(np.float32)
+        weights = rng.normal(size=(3, 8, factor * hw[0], factor * hw[1])).astype(np.float32)
+        batched = self.outputs_and_grads(transposed_conv_upsample, tc, x_arr, weights)[1]
+        size = len(batched) // 3
+        for i in range(3):
+            one = slice(i, i + 1)
+            single = self.outputs_and_grads(transposed_conv_upsample, tc, x_arr[one],
+                                            weights[one])[1]
+            assert batched[i * size:(i + 1) * size] == single
 
     def test_overflow_names_the_op(self, rng):
         tc = TransposedConv(2, 2, 2, rng)

@@ -221,14 +221,14 @@ class TestTapeBackward:
     # The convolutions, maxpool2, window_attention and seg_loss have their
     # own such tests beside their kernels.
     @pytest.mark.parametrize("name", ["add", "mul", "relu", "sum_all", "layer_norm",
-                                      "bilinear_upsample", "pixel_shuffle"])
+                                      "bilinear_upsample", "transposed_conv_upsample"])
     def test_nonfinite_output_names_the_op(self, rng, name):
         def raw(*shape, fill=1.0):
             return Tensor(np.full(shape, fill, dtype=np.float32))
 
         big, inf = raw(2, 3, fill=3e38), raw(1, 2, 2, 2, fill=np.inf)
         tc = TransposedConv(2, 2, 2, rng)
-        tc.bias.data[:] = np.inf  # the phase convolution stays finite
+        tc.bias.data[:] = np.inf  # finite tap products, infinite output
         ops = {
             "add": lambda: add(big, big),
             "mul": lambda: mul(big, big),
@@ -236,7 +236,7 @@ class TestTapeBackward:
             "sum_all": lambda: sum_all(big),
             "layer_norm": lambda: layer_norm(inf, raw(2), raw(2)),
             "bilinear_upsample": lambda: bilinear_upsample(inf, 2),
-            "pixel_shuffle": lambda: transposed_conv_upsample(raw(1, 2, 2, 2), tc),
+            "transposed_conv_upsample": lambda: transposed_conv_upsample(raw(1, 2, 2, 2), tc),
         }
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericsError, match=rf"^non-finite values in output of {name}$"):

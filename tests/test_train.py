@@ -128,9 +128,19 @@ def test_reference_train_step_records_39_tape_nodes():
     assert (model.upsampler, model_nodes, len(tape)) == ("wau", 38, 39)
 
 
+def test_reference_transposed_step_records_14_tape_nodes():
+    # tensor.nodes_per_step.transposed: 10 encoder nodes, one node per
+    # transposed stage, the head conv and the loss.
+    model, x, masks = reference_step("transposed")
+    with Tape() as tape:
+        seg_loss(model.forward(x), masks, model.classes)
+    names = [node.name for node in tape._nodes]
+    assert len(names) == 14 and names.count("transposed_conv_upsample") == 2
+
+
 # Tape ops of each upsampler that only re-lay values already checked.
 RELAYOUTS = {"wau": {"window_partition", "window_merge"}, "bilinear": set(),
-             "transposed": {"transposed_phase_weight"}}
+             "transposed": set()}
 
 
 @pytest.mark.parametrize("upsampler", sorted(RELAYOUTS))
