@@ -270,34 +270,29 @@ def build_gradcheck_target(name: str, seed: int = 0):
     rng = np.random.default_rng(seed)
 
     if name == "wau_stage":
-        cfg = WauConfig(ratio=2, window=2, heads=2, precision="double")
+        cfg = WauConfig(ratio=2, window=2, heads=2)
         stage_rng = np.random.default_rng(seed + 1)
         from .stage import WauStage
         st = WauStage(cfg, lateral_channels=4, source_channels=4, rng=stage_rng)
-        lateral = tensor(rng.standard_normal((1, 4, 4, 4)), precision="double",
-                         requires_grad=True)
-        source = tensor(rng.standard_normal((1, 4, 2, 2)), precision="double",
-                        requires_grad=True)
+        lateral = tensor(rng.standard_normal((1, 4, 4, 4)), requires_grad=True)
+        source = tensor(rng.standard_normal((1, 4, 2, 2)), requires_grad=True)
         wrt = [("lateral", lateral), ("source", source)] + st.parameters()
         return (lambda: st.forward(source, lateral)), wrt
 
     if name == "toynet":
         from .toyseg.model import ToyNet
         net = ToyNet(depth=2, base_channels=4, upsampler="wau", classes=1,
-                     window=2, heads=2, seed=seed + 1, precision="double")
-        x = tensor(rng.standard_normal((1, 1, 16, 16)), precision="double",
-                   requires_grad=True)
+                     window=2, heads=2, seed=seed + 1)
+        x = tensor(rng.standard_normal((1, 1, 16, 16)), requires_grad=True)
         wrt = [("input", x)] + net.parameters()
         return (lambda: net.forward(x)), wrt
 
     if name == "bilinear_stage":
-        x = tensor(rng.standard_normal((1, 3, 4, 4)), precision="double",
-                   requires_grad=True)
+        x = tensor(rng.standard_normal((1, 3, 4, 4)), requires_grad=True)
         return (lambda: bilinear_upsample(x, 2)), [("input", x)]
 
     if name == "broken_fixture":
-        x = tensor(rng.standard_normal((1, 2, 3, 3)), precision="double",
-                   requires_grad=True)
+        x = tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True)
         return (lambda: broken_scale(x)), [("input", x)]
 
     raise ContractError(f"unknown gradcheck target {name!r}")

@@ -38,7 +38,6 @@ class WauConfig:
     proj_groups: int = 1
     proj_kernel: int = 3
     out_kernel: int = 3
-    precision: str = "single"
 
     def validate(self) -> None:
         if self.ratio < 2:
@@ -78,24 +77,20 @@ class AttentionDecoder:
         self.lateral_channels = lateral_channels
         self.source_channels = source_channels
         self.layer_index = layer_index
-        p = cfg.precision
 
-        one = np.ones(lateral_channels, dtype=np.float32)
-        self.ln_q_gamma = tensor(one, precision=p, requires_grad=True)
-        self.ln_q_beta = zeros((lateral_channels,), precision=p, requires_grad=True)
-        self.ln_kv_gamma = tensor(np.ones(source_channels, dtype=np.float32),
-                                  precision=p, requires_grad=True)
-        self.ln_kv_beta = zeros((source_channels,), precision=p, requires_grad=True)
+        self.ln_q_gamma = tensor(np.ones(lateral_channels), requires_grad=True)
+        self.ln_q_beta = zeros((lateral_channels,), requires_grad=True)
+        self.ln_kv_gamma = tensor(np.ones(source_channels), requires_grad=True)
+        self.ln_kv_beta = zeros((source_channels,), requires_grad=True)
 
         def proj(in_ch):
             return ConvSpec(cfg.proj_variant, in_ch, lateral_channels, cfg.proj_kernel, rng,
-                            groups=cfg.proj_groups, precision=p)
+                            groups=cfg.proj_groups)
 
         self.q_proj = proj(lateral_channels)
         self.k_proj = proj(source_channels)
         self.v_proj = proj(source_channels)
-        self.out_conv = ConvSpec("regular", lateral_channels, lateral_channels, cfg.out_kernel,
-                                 rng, precision=p)
+        self.out_conv = ConvSpec("regular", lateral_channels, lateral_channels, cfg.out_kernel, rng)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         out = [("ln_q.gamma", self.ln_q_gamma), ("ln_q.beta", self.ln_q_beta),

@@ -124,13 +124,14 @@ def _parser() -> argparse.ArgumentParser:
         description="window-attention upsampling: checks, costs, training")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp, out_default="out"):
+    def common(sp, out_default=None):
         sp.add_argument("--config", type=Path, default=None,
                         help="INI config path (defaults documented in config.py)")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the [train] seed")
-        sp.add_argument("--out", type=Path, default=Path(out_default),
-                        help="output directory")
+        if out_default is not None:
+            sp.add_argument("--out", type=Path, default=Path(out_default),
+                            help="output directory")
 
     sp = sub.add_parser("gradcheck", help="central-difference gradient audit")
     common(sp)

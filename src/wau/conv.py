@@ -63,12 +63,12 @@ class ConvSpec:
 
     Bias is one scalar per output channel (attached to the pointwise stage
     for the separable variant) and is initialized to zero. Weights use
-    fan-in-scaled uniform initialization from the provided generator.
+    fan-in-scaled uniform initialization from the provided generator. All
+    parameters are float64; `wau.tensor.cast` converts them.
     """
 
     def __init__(self, variant: str, in_channels: int, out_channels: int, kernel: int,
-                 rng: np.random.Generator, groups: int = 1, bias: bool = True,
-                 precision: str = "single"):
+                 rng: np.random.Generator, groups: int = 1, bias: bool = True):
         if variant not in CONV_VARIANTS:
             raise ContractError(f"unknown conv variant {variant!r}")
         if kernel < 1 or kernel % 2 == 0:
@@ -90,14 +90,14 @@ class ConvSpec:
 
         if variant == "depthwise_separable":
             self.weight = uniform_param((in_channels, 1, kernel, kernel),
-                                        fan_in=kernel * kernel, rng=rng, precision=precision)
+                                        fan_in=kernel * kernel, rng=rng)
             self.point_weight = uniform_param((out_channels, in_channels, 1, 1),
-                                              fan_in=in_channels, rng=rng, precision=precision)
+                                              fan_in=in_channels, rng=rng)
         else:
             fan_in = (in_channels // groups) * kernel * kernel
             self.weight = uniform_param((out_channels, in_channels // groups, kernel, kernel),
-                                        fan_in=fan_in, rng=rng, precision=precision)
-        self.bias = zeros((out_channels,), precision=precision, requires_grad=True) if bias else None
+                                        fan_in=fan_in, rng=rng)
+        self.bias = zeros((out_channels,), requires_grad=True) if bias else None
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         out = [("weight", self.weight)]
@@ -305,12 +305,11 @@ class TransposedConv:
     Kernel defaults to 2n with total zero padding kernel - n (split low/high),
     so the output is exactly n times the input in each spatial dimension.
     Runs on the shifted-tap kernel as one tap op over the n*n output phases
-    (see transposed_conv_upsample).
+    (see transposed_conv_upsample). Parameters are float64, as in ConvSpec.
     """
 
     def __init__(self, in_channels: int, out_channels: int, factor: int,
-                 rng: np.random.Generator, kernel: int | None = None,
-                 precision: str = "single"):
+                 rng: np.random.Generator, kernel: int | None = None):
         if factor < 1:
             raise ContractError(f"factor must be >= 1, got {factor}")
         kernel = 2 * factor if kernel is None else kernel
@@ -321,9 +320,8 @@ class TransposedConv:
         self.factor = factor
         self.kernel = kernel
         self.weight = uniform_param((in_channels, out_channels, kernel, kernel),
-                                    fan_in=in_channels * kernel * kernel,
-                                    rng=rng, precision=precision)
-        self.bias = zeros((out_channels,), precision=precision, requires_grad=True)
+                                    fan_in=in_channels * kernel * kernel, rng=rng)
+        self.bias = zeros((out_channels,), requires_grad=True)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("weight", self.weight), ("bias", self.bias)]

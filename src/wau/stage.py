@@ -45,10 +45,10 @@ class TransposedStage:
     """Learned transposed-convolution stage; ignores laterals."""
 
     def __init__(self, in_channels: int, out_channels: int, ratio: int,
-                 rng: np.random.Generator, precision: str = "single"):
+                 rng: np.random.Generator):
         self.ratio = ratio
         self.out_channels = out_channels
-        self.up = TransposedConv(in_channels, out_channels, ratio, rng, precision=precision)
+        self.up = TransposedConv(in_channels, out_channels, ratio, rng)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [(f"up.{n}", t) for n, t in self.up.parameters()]
@@ -91,8 +91,7 @@ class WauStage(WadStage):
         self.residual_proj: ConvSpec | None = None
         if source_channels != self.out_channels:
             # Artifact extension: 1x1 adapter so the residual can be added.
-            self.residual_proj = ConvSpec("regular", source_channels, self.out_channels,
-                                          1, rng, precision=cfg.precision)
+            self.residual_proj = ConvSpec("regular", source_channels, self.out_channels, 1, rng)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         out = super().parameters()
@@ -117,9 +116,9 @@ def build_stage(name: str, cfg: WauConfig, source_channels: int,
                 layer_index: int = 0):
     """Construct upsampler `name` for one decoder level.
 
-    `cfg` supplies the ratio and precision of every stage and the attention
-    knobs of the attention stages. The transposed stage outputs the lateral
-    width; bilinear keeps the source width.
+    `cfg` supplies the ratio of every stage and the attention knobs of the
+    attention stages. The transposed stage outputs the lateral width;
+    bilinear keeps the source width.
     """
     cfg.validate()
     if name in ("wau", "wad_only"):
@@ -128,6 +127,5 @@ def build_stage(name: str, cfg: WauConfig, source_channels: int,
     if name == "bilinear":
         return BilinearStage(source_channels, cfg.ratio)
     if name == "transposed":
-        return TransposedStage(source_channels, lateral_channels, cfg.ratio, rng,
-                               precision=cfg.precision)
+        return TransposedStage(source_channels, lateral_channels, cfg.ratio, rng)
     raise ContractError(f"unknown upsampler {name!r}; expected one of {UPSAMPLERS}")

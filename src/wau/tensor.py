@@ -104,8 +104,14 @@ class Tensor:
         return f"Tensor(shape={self.shape}, {self.precision}{flag})"
 
 
-def tensor(values, precision: str = "single", requires_grad: bool = False) -> Tensor:
-    """Build a tensor from array-like values, validating finiteness."""
+def tensor(values, precision: str | None = None, requires_grad: bool = False) -> Tensor:
+    """Build a tensor from array-like values, validating finiteness.
+
+    With no precision a float32 or float64 ndarray keeps its dtype, as in
+    np.asarray; lists, scalars and integer arrays become single."""
+    if precision is None:
+        precision = (_PRECISION_NAMES.get(values.dtype, "single")
+                     if isinstance(values, np.ndarray) else "single")
     arr = np.asarray(values, dtype=_dtype_of(precision))
     if arr.ndim == 0:
         arr = arr.reshape(1)
@@ -113,18 +119,26 @@ def tensor(values, precision: str = "single", requires_grad: bool = False) -> Te
     return Tensor(np.ascontiguousarray(arr), requires_grad=requires_grad)
 
 
-def zeros(shape: Sequence[int], precision: str = "single", requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(tuple(shape), dtype=_dtype_of(precision)), requires_grad=requires_grad)
+def zeros(shape: Sequence[int], requires_grad: bool = False) -> Tensor:
+    return Tensor(np.zeros(tuple(shape)), requires_grad=requires_grad)
 
 
-def uniform_param(shape: Sequence[int], fan_in: int, rng: np.random.Generator,
-                  precision: str = "single") -> Tensor:
+def uniform_param(shape: Sequence[int], fan_in: int, rng: np.random.Generator) -> Tensor:
     """Fan-in-scaled uniform initialization in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
     if fan_in < 1:
         raise ContractError(f"fan_in must be positive, got {fan_in}")
     bound = 1.0 / np.sqrt(float(fan_in))
-    arr = rng.uniform(-bound, bound, size=tuple(shape)).astype(_dtype_of(precision))
-    return Tensor(arr, requires_grad=True)
+    return Tensor(rng.uniform(-bound, bound, size=tuple(shape)), requires_grad=True)
+
+
+def cast(module, precision: str):
+    """Convert every parameter of `module` (anything with parameters()) to
+    `precision` in place and return it. Layers build in double, so a single
+    model is its double build rounded once."""
+    dtype = _dtype_of(precision)
+    for _, t in module.parameters():
+        t.data = t.data.astype(dtype, copy=False)
+    return module
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from ..tensor import ContractError, ShapeError, Tensor, relu
 
 
 class EncoderBlock:
-    def __init__(self, in_ch: int, out_ch: int, rng, precision: str):
-        self.conv1 = ConvSpec("regular", in_ch, out_ch, 3, rng, precision=precision)
-        self.conv2 = ConvSpec("regular", out_ch, out_ch, 3, rng, precision=precision)
+    def __init__(self, in_ch: int, out_ch: int, rng):
+        self.conv1 = ConvSpec("regular", in_ch, out_ch, 3, rng)
+        self.conv2 = ConvSpec("regular", out_ch, out_ch, 3, rng)
 
     def parameters(self):
         return ([(f"conv1.{n}", t) for n, t in self.conv1.parameters()] +
@@ -31,10 +31,13 @@ class EncoderBlock:
 
 
 class ToyNet:
+    """The segmentation net. Its parameters are built in float64 from stream
+    (seed, 0); build_model_from_config casts them to `[train] precision`."""
+
     def __init__(self, depth: int, base_channels: int, upsampler: str, classes: int,
                  *, window: int = 4, heads: int = 4, proj_conv: str = "regular",
                  proj_groups: int = 1, proj_kernel: int = 3, out_kernel: int = 3,
-                 in_channels: int = 1, seed: int = 0, precision: str = "single"):
+                 in_channels: int = 1, seed: int = 0):
         if depth < 1:
             raise ContractError(f"depth must be >= 1, got {depth}")
         if classes < 1:
@@ -42,20 +45,19 @@ class ToyNet:
         self.depth = depth
         self.upsampler = upsampler
         self.classes = classes
-        self.precision = precision
         rng = np.random.default_rng([seed, 0])
 
         widths = [base_channels * (1 << i) for i in range(depth)]
         self.encoder: list[EncoderBlock] = []
         ch = in_channels
         for wch in widths:
-            self.encoder.append(EncoderBlock(ch, wch, rng, precision))
+            self.encoder.append(EncoderBlock(ch, wch, rng))
             ch = wch
 
         # Decoder runs bottom-up: stage i consumes lateral depth-1-i.
         cfg = WauConfig(ratio=2, window=window, heads=heads, proj_variant=proj_conv,
                         proj_groups=proj_groups, proj_kernel=proj_kernel,
-                        out_kernel=out_kernel, precision=precision)
+                        out_kernel=out_kernel)
         self.decoder = []
         src_ch = widths[-1]
         for i in range(depth):
@@ -64,7 +66,7 @@ class ToyNet:
             self.decoder.append(stage)
             src_ch = stage.out_channels
 
-        self.head = ConvSpec("regular", src_ch, classes + 1, 1, rng, precision=precision)
+        self.head = ConvSpec("regular", src_ch, classes + 1, 1, rng)
 
     # -- parameters ----------------------------------------------------------
 

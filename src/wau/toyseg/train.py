@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ..config import ConfigError, RunConfig, parse_config_text, serialize_config
-from ..tensor import NumericsError, ShapeError, Tape, Tensor, tensor
+from ..tensor import NumericsError, ShapeError, Tape, Tensor, cast, tensor
 from ..tensorio import read_tensor, write_tensor
 from .data import SynthSample, augment, gen_dataset
 from .loss import seg_loss
@@ -48,12 +48,12 @@ def _fmt(x: float) -> str:
 
 def build_model_from_config(cfg: RunConfig) -> ToyNet:
     m, t = cfg.model, cfg.train
-    return ToyNet(
+    return cast(ToyNet(
         depth=m.depth, base_channels=m.base_channels, upsampler=m.upsampler,
         classes=cfg.data.classes, window=m.window, heads=m.heads,
         proj_conv=m.proj_conv, proj_groups=m.proj_groups,
         proj_kernel=m.proj_kernel, out_kernel=m.out_kernel,
-        in_channels=m.in_channels, seed=t.seed, precision=t.precision)
+        in_channels=m.in_channels, seed=t.seed), t.precision)
 
 
 def _check_geometry(cfg: RunConfig, model: ToyNet) -> None:

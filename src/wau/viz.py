@@ -83,12 +83,8 @@ def attention_mosaic(mean_weights: np.ndarray, ratio: int, window: int) -> np.nd
         raise ContractError(
             f"weights shape {mean_weights.shape} does not match "
             f"window sizes ({m1 * m1}, {m2 * m2})")
-    img = np.empty((m1 * m2, m1 * m2), dtype=np.float64)
-    for q in range(m1 * m1):
-        qr, qc = divmod(q, m1)
-        img[qr * m2:(qr + 1) * m2, qc * m2:(qc + 1) * m2] = \
-            mean_weights[q].reshape(m2, m2)
-    return img
+    tiles = mean_weights.reshape(m1, m1, m2, m2).transpose(0, 2, 1, 3)
+    return tiles.reshape(m1 * m2, m1 * m2).astype(np.float64)
 
 
 def export_attention(model: ToyNet, cfg: RunConfig, sample_index: int,

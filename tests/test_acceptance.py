@@ -51,7 +51,7 @@ def test_01_windowed_attention_equals_global_when_window_covers_map():
     assert len(configs) >= 20
     for h, c, heads, seed in configs:
         rng = np.random.default_rng([seed, h, c, heads])
-        cfg = WauConfig(ratio=2, window=h, heads=heads, precision="double")
+        cfg = WauConfig(ratio=2, window=h, heads=heads)
         dec = AttentionDecoder(cfg, c, c, rng)
         # the same parameters, with one window spanning the map
         glob = AttentionDecoder(dataclasses.replace(cfg, window=None), c, c,
@@ -127,7 +127,7 @@ def test_03_cost_formulas_match_instrumented_counts_exactly():
 
 def test_04_zeroed_attention_reduces_stage_to_bilinear():
     rng = np.random.default_rng(7)
-    cfg = WauConfig(ratio=2, window=2, heads=2, precision="double")
+    cfg = WauConfig(ratio=2, window=2, heads=2)
     stage = WauStage(cfg, lateral_channels=4, source_channels=4, rng=rng)
     lateral = tensor(rng.standard_normal((1, 4, 8, 8)), precision="double")
     source = tensor(rng.standard_normal((1, 4, 4, 4)), precision="double")
@@ -156,13 +156,12 @@ def test_05_kernels_match_naive_oracles_and_windows_round_trip():
 
     x = rng.normal(size=(2, 4, 8, 8))
     for variant, groups in (("regular", 1), ("grouped", 2)):
-        spec = ConvSpec(variant, 4, 6, 3, rng, groups=groups,
-                        precision="double")
+        spec = ConvSpec(variant, 4, 6, 3, rng, groups=groups)
         got = spec(tensor(x, precision="double")).numpy()
         want = naive_conv2d(x, spec.weight.numpy(), spec.bias.numpy(),
                             groups=groups)
         worst = max(worst, gap(got, want))
-    spec = ConvSpec("depthwise_separable", 4, 6, 3, rng, precision="double")
+    spec = ConvSpec("depthwise_separable", 4, 6, 3, rng)
     got = spec(tensor(x, precision="double")).numpy()
     mid = naive_conv2d(x, spec.weight.numpy(), None, groups=4)
     want = naive_conv2d(mid, spec.point_weight.numpy(), spec.bias.numpy())
@@ -176,8 +175,7 @@ def test_05_kernels_match_naive_oracles_and_windows_round_trip():
 
     for factor, kernel in ((2, 4), (3, 6)):
         small = rng.normal(size=(1, 2, 5, 5))
-        layer = TransposedConv(2, 3, factor, rng, kernel=kernel,
-                               precision="double")
+        layer = TransposedConv(2, 3, factor, rng, kernel=kernel)
         got = transposed_conv_upsample(tensor(small, precision="double"),
                                        layer).numpy()
         want = naive_transposed(small, layer.weight.numpy(),

@@ -7,7 +7,7 @@ import pytest
 from conftest import naive_attention
 from wau import metering
 from wau.attention import AttentionDecoder, WauConfig
-from wau.tensor import ContractError, NumericsError, Tape, mul, sum_all, tensor
+from wau.tensor import ContractError, NumericsError, Tape, cast, mul, sum_all, tensor
 from wau.windows import paired_partition, partition
 
 
@@ -24,10 +24,9 @@ def dirac(spec):
 
 def make_decoder(lat_c=8, src_c=16, heads=1, window=2, ratio=2, seed=0,
                  precision="double", **kw):
-    cfg = WauConfig(ratio=ratio, window=window, heads=heads,
-                    precision=precision, **kw)
+    cfg = WauConfig(ratio=ratio, window=window, heads=heads, **kw)
     rng = np.random.default_rng(seed)
-    return cfg, AttentionDecoder(cfg, lat_c, src_c, rng)
+    return cfg, cast(AttentionDecoder(cfg, lat_c, src_c, rng), precision)
 
 
 def recorded_wad_forward(dec, lat, z):
@@ -212,8 +211,8 @@ class TestGlobalAgreement:
         for precision in ("single", "double"):
             for h2, w2, n, heads, lat_c, src_c in self.DIGEST_CONFIGS:
                 rng = np.random.default_rng([h2, w2, n, heads])
-                cfg = WauConfig(ratio=n, window=None, heads=heads, precision=precision)
-                dec = AttentionDecoder(cfg, lat_c, src_c, rng)
+                cfg = WauConfig(ratio=n, window=None, heads=heads)
+                dec = cast(AttentionDecoder(cfg, lat_c, src_c, rng), precision)
                 lat = tensor(rng.standard_normal((2, lat_c, n * h2, n * w2)),
                              precision=precision, requires_grad=True)
                 src = tensor(rng.standard_normal((2, src_c, h2, w2)),

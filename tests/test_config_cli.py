@@ -244,7 +244,8 @@ class TestCliTrainEval:
         # A save stopped after retiring the old copy and before renaming the new one.
         shutil.copytree(trained["final"], tmp_path / ".final.old")
         ckpt = tmp_path / "final"
-        code = main(verb + ["--checkpoint", str(ckpt), "--out", str(tmp_path / "viz")])
+        out = ["--out", str(tmp_path / "viz")] if verb[0] == "export-viz" else []
+        code = main(verb + ["--checkpoint", str(ckpt)] + out)
         assert code == 0, capsys.readouterr().err
         assert (ckpt / "config.ini").is_file()
         assert not (tmp_path / ".final.old").exists()
@@ -393,6 +394,20 @@ class TestCliExportViz:
         mean = positive_window_mean(weights, (2, 4, 8, 8), ratio=2, window=2, mask=mask)
         np.testing.assert_array_equal(mean, weights[[2, 6]].mean(axis=(0, 1)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ratio,window", [(2, 2), (2, 4), (3, 2)])
+    def test_attention_mosaic_puts_query_q_in_tile_divmod_q(self, ratio, window, dtype):
+        from wau.viz import attention_mosaic
+
+        m1, m2 = ratio * window, window
+        weights = np.random.default_rng(ratio * window).random((m1 * m1, m2 * m2)).astype(dtype)
+        want = np.empty((m1 * m2, m1 * m2), dtype=np.float64)
+        for q in range(m1 * m1):
+            qr, qc = divmod(q, m1)
+            want[qr * m2:(qr + 1) * m2, qc * m2:(qc + 1) * m2] = weights[q].reshape(m2, m2)
+        got = attention_mosaic(weights, ratio, window)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
     def test_no_attention_stages_notice_and_no_files(self, tmp_path, capsys):
         ini = tmp_path / "plain.ini"
         ini.write_text(TINY_INI.replace("upsampler = wau",
@@ -427,6 +442,13 @@ class TestCliUsage:
     def test_eval_requires_checkpoint_flag(self, capsys):
         assert main(["eval"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("verb", [["flops"], ["gradcheck"], ["eval", "--checkpoint", "c"]])
+    def test_out_is_a_usage_error_where_nothing_is_written(self, tmp_path, capsys, verb):
+        target = tmp_path / "D"
+        assert main(verb + ["--out", str(target)]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert not target.exists()
 
     def test_export_viz_requires_a_mode_flag(self, trained, capsys):
         code = main(["export-viz", "--checkpoint", str(trained["final"])])

@@ -11,8 +11,8 @@ from wau import metering
 from wau.analysis import gradcheck
 from wau.conv import (ConvSpec, TransposedConv, _axis_matrix, _block_rows, _grouped_conv,
                       bilinear_upsample, conv2d, maxpool2, transposed_conv_upsample)
-from wau.tensor import (ContractError, NumericsError, ShapeError, Tape, Tensor, mul, op_result,
-                        record, sum_all, tensor)
+from wau.tensor import (ContractError, NumericsError, ShapeError, Tape, Tensor, cast, mul,
+                        op_result, record, sum_all, tensor)
 
 
 def dtensor(arr, grad=False):
@@ -24,7 +24,7 @@ def dtensor(arr, grad=False):
 class TestConvForward:
     def test_dirac_kernel_is_identity(self, rng):
         x = tensor(rng.normal(size=(1, 1, 5, 5)).astype(np.float32))
-        spec = ConvSpec("regular", 1, 1, 3, rng)
+        spec = cast(ConvSpec("regular", 1, 1, 3, rng), "single")
         w = np.zeros((1, 1, 3, 3), dtype=np.float32)
         w[0, 0, 1, 1] = 1.0
         spec.weight.data = w
@@ -33,7 +33,7 @@ class TestConvForward:
 
     def test_matches_naive_oracle(self, rng):
         x_arr = rng.normal(size=(1, 2, 4, 4))
-        spec = ConvSpec("regular", 2, 3, 3, rng, precision="double")
+        spec = ConvSpec("regular", 2, 3, 3, rng)
         got = spec(dtensor(x_arr)).numpy()
         want = naive_conv2d(x_arr, spec.weight.numpy(), spec.bias.numpy())
         np.testing.assert_allclose(got, want, atol=1e-6)
@@ -42,29 +42,29 @@ class TestConvForward:
                                                 (8, 5, 1, 4, 1)])
     def test_oracle_sizes_up_to_8(self, rng, h, w, cin, cout, k):
         x_arr = rng.normal(size=(2, cin, h, w))
-        spec = ConvSpec("regular", cin, cout, k, rng, precision="double")
+        spec = ConvSpec("regular", cin, cout, k, rng)
         got = spec(dtensor(x_arr)).numpy()
         want = naive_conv2d(x_arr, spec.weight.numpy(), spec.bias.numpy())
         np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_grouped_matches_oracle(self, rng):
         x_arr = rng.normal(size=(1, 4, 6, 6))
-        spec = ConvSpec("grouped", 4, 4, 3, rng, groups=2, precision="double")
+        spec = ConvSpec("grouped", 4, 4, 3, rng, groups=2)
         got = spec(dtensor(x_arr)).numpy()
         want = naive_conv2d(x_arr, spec.weight.numpy(), spec.bias.numpy(), groups=2)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_grouped_g1_bitwise_equals_regular(self, rng):
         x = tensor(rng.normal(size=(2, 3, 5, 5)).astype(np.float32))
-        a = ConvSpec("regular", 3, 4, 3, np.random.default_rng(7))
-        b = ConvSpec("grouped", 3, 4, 3, np.random.default_rng(7), groups=1)
+        a = cast(ConvSpec("regular", 3, 4, 3, np.random.default_rng(7)), "single")
+        b = cast(ConvSpec("grouped", 3, 4, 3, np.random.default_rng(7), groups=1), "single")
         b.weight.data = a.weight.numpy()
         b.bias.data = a.bias.numpy()
         np.testing.assert_array_equal(a(x).numpy(), b(x).numpy())
 
     def test_depthwise_separable_matches_composed_oracle(self, rng):
         x_arr = rng.normal(size=(1, 3, 6, 6))
-        spec = ConvSpec("depthwise_separable", 3, 5, 3, rng, precision="double")
+        spec = ConvSpec("depthwise_separable", 3, 5, 3, rng)
         got = spec(dtensor(x_arr)).numpy()
         mid = naive_conv2d(x_arr, spec.weight.numpy(), None, groups=3)
         want = naive_conv2d(mid, spec.point_weight.numpy(), spec.bias.numpy())
@@ -72,7 +72,7 @@ class TestConvForward:
 
     def test_batch_bitwise_equals_per_item(self, rng):
         x_arr = rng.normal(size=(3, 2, 6, 6)).astype(np.float32)
-        spec = ConvSpec("regular", 2, 4, 3, rng)
+        spec = cast(ConvSpec("regular", 2, 4, 3, rng), "single")
         batched = spec(tensor(x_arr)).numpy()
         for i in range(3):
             single = spec(tensor(x_arr[i:i + 1])).numpy()
@@ -84,7 +84,7 @@ class TestConvForward:
         # a centre-tap depthwise passes 3e38 through; the pointwise sum overflows
         ("depthwise_separable", True, "pointwise_conv")])
     def test_overflow_names_the_op(self, rng, variant, centre_only, op):
-        spec = ConvSpec(variant, 2, 2, 3, rng)
+        spec = cast(ConvSpec(variant, 2, 2, 3, rng), "single")
         spec.weight.data[:] = 0.0 if centre_only else 1.0
         spec.weight.data[..., 1, 1] = 1.0
         if spec.point_weight is not None:
@@ -96,7 +96,7 @@ class TestConvForward:
     def test_one_channel_forward_holds_no_output_sized_temporary(self, rng):
         # The tap products and their running sum live in row blocks; a
         # padded-width sum or tap product of the whole map would not fit here.
-        spec = ConvSpec("regular", 1, 8, 3, rng)
+        spec = cast(ConvSpec("regular", 1, 8, 3, rng), "single")
         x = tensor(rng.normal(size=(4, 1, 128, 128)).astype(np.float32))
         tracemalloc.start()
         try:
@@ -117,7 +117,7 @@ class TestConvForward:
             ConvSpec("grouped", 3, 4, 3, rng, groups=2)
 
     def test_channel_mismatch_rejected(self, rng):
-        spec = ConvSpec("regular", 2, 2, 3, rng)
+        spec = cast(ConvSpec("regular", 2, 2, 3, rng), "single")
         with pytest.raises(ShapeError):
             spec(tensor(np.zeros((1, 3, 4, 4), dtype=np.float32)))
 
@@ -126,14 +126,14 @@ class TestConvBackward:
     @pytest.mark.parametrize("variant,groups", [("regular", 1), ("grouped", 2),
                                                 ("depthwise_separable", 1)])
     def test_gradcheck(self, rng, variant, groups):
-        spec = ConvSpec(variant, 2, 4, 3, rng, groups=groups, precision="double")
+        spec = ConvSpec(variant, 2, 4, 3, rng, groups=groups)
         x = dtensor(rng.normal(size=(1, 2, 3, 3)), grad=True)
         wrt = [("input", x)] + [(n, t) for n, t in spec.parameters()]
         report = gradcheck(lambda: spec(x), wrt)
         assert report.max_rel_error < 1e-7
 
     def test_zero_upstream_gives_zero_param_grads(self, rng):
-        spec = ConvSpec("regular", 1, 1, 3, rng, precision="double")
+        spec = ConvSpec("regular", 1, 1, 3, rng)
         x = dtensor(rng.normal(size=(1, 1, 4, 4)), grad=True)
         with Tape() as tape:
             out = spec(x)
@@ -155,7 +155,7 @@ class TestConvBackward:
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("variant,groups", VARIANTS)
     def test_gradcheck_weighted(self, rng, variant, groups, k):
-        spec = ConvSpec(variant, 2, 4, k, rng, groups=groups, precision="double")
+        spec = ConvSpec(variant, 2, 4, k, rng, groups=groups)
         spec.bias.data = rng.normal(size=4)
         x = dtensor(rng.normal(size=(2, 2, 4, 5)), grad=True)
         weights = dtensor(rng.normal(size=(2, 4, 4, 5)))
@@ -168,7 +168,7 @@ class TestConvBackward:
     def test_gradcheck_inner_dim_1(self, rng, variant, cin, cout):
         # Tap products with inner dimension 1 (one input channel, one output
         # channel, depthwise) are broadcast multiplies rather than matmuls.
-        spec = ConvSpec(variant, cin, cout, 3, rng, precision="double")
+        spec = ConvSpec(variant, cin, cout, 3, rng)
         spec.bias.data = rng.normal(size=cout)
         x = dtensor(rng.normal(size=(2, cin, 5, 4)), grad=True)
         weights = dtensor(rng.normal(size=(2, cout, 5, 4)))
@@ -185,7 +185,7 @@ class TestConvBackward:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("variant,groups", VARIANTS)
     def test_input_grad_batch_bitwise_equals_per_item(self, rng, variant, groups, k):
-        spec = ConvSpec(variant, 4, 6, k, rng, groups=groups)
+        spec = cast(ConvSpec(variant, 4, 6, k, rng, groups=groups), "single")
         x_arr = rng.normal(size=(3, 4, 6, 7)).astype(np.float32)
         weights = rng.normal(size=(3, 6, 6, 7)).astype(np.float32)
         batched, _ = self.weighted_grads(spec, x_arr, weights, "single")
@@ -205,7 +205,7 @@ class TestConvBackward:
         if H > 100:
             rows = _block_rows(H, W + k - 1)
             assert rows < H and H % rows
-        spec = ConvSpec(variant, 16, 4, k, rng, groups=groups)
+        spec = cast(ConvSpec(variant, 16, 4, k, rng, groups=groups), "single")
         x_arr = rng.normal(size=(3, 16, H, W)).astype(np.float32)
         weights = rng.normal(size=(3, 4, H, W)).astype(np.float32)
         batched_out = spec(tensor(x_arr)).numpy()
@@ -222,7 +222,7 @@ class TestConvBackward:
         # Without bias the output is linear in x and in each weight, so
         # <out, g> = <x, dx> = <w, dw>; 70 x 70 spans two row blocks.
         assert _block_rows(70, 70 + k - 1) < 70
-        spec = ConvSpec(variant, 4, 6, k, rng, groups=groups, precision="double")
+        spec = ConvSpec(variant, 4, 6, k, rng, groups=groups)
         x = dtensor(rng.normal(size=(2, 4, 70, 70)), grad=True)
         g = rng.normal(size=(2, 6, 70, 70))
         with Tape() as tape:
@@ -234,7 +234,7 @@ class TestConvBackward:
 
     @pytest.mark.parametrize("variant,groups", VARIANTS)
     def test_input_without_grad_skips_its_gradient(self, rng, variant, groups):
-        spec = ConvSpec(variant, 4, 6, 3, rng, groups=groups)
+        spec = cast(ConvSpec(variant, 4, 6, 3, rng, groups=groups), "single")
         spec.bias.data = rng.normal(size=6).astype(np.float32)
         x_arr = rng.normal(size=(2, 4, 9, 7)).astype(np.float32)
         weights = tensor(rng.normal(size=(2, 6, 9, 7)).astype(np.float32))
@@ -254,9 +254,9 @@ class TestConvBackward:
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("variant,groups", VARIANTS)
     def test_single_matches_double(self, rng, variant, groups, k):
-        s64 = ConvSpec(variant, 4, 6, k, np.random.default_rng(5), groups=groups,
-                       precision="double")
-        s32 = ConvSpec(variant, 4, 6, k, np.random.default_rng(5), groups=groups)
+        s64 = ConvSpec(variant, 4, 6, k, np.random.default_rng(5), groups=groups)
+        s32 = cast(ConvSpec(variant, 4, 6, k, np.random.default_rng(5), groups=groups),
+                   "single")
         s64.bias.data = rng.normal(size=6)
         for (_, t32), (_, t64) in zip(s32.parameters(), s64.parameters()):
             t32.data = t64.data.astype(np.float32)
@@ -277,7 +277,7 @@ class TestConvBackward:
     def test_forward_keeps_only_its_output(self, rng):
         # The backward re-pads the input; keeping the padded copy would hold
         # another input-sized array, and patches 9x the input.
-        spec = ConvSpec("regular", 8, 8, 3, rng)
+        spec = cast(ConvSpec("regular", 8, 8, 3, rng), "single")
         x = tensor(rng.normal(size=(4, 8, 64, 64)).astype(np.float32))
         x.requires_grad = True
         tracemalloc.start()
@@ -294,7 +294,7 @@ class TestConvBackward:
 
     def test_backward_peak_is_a_few_maps_not_patches(self, rng):
         # Shifted-tap backward holds O(1) padded maps; patches would be 9x the input.
-        spec = ConvSpec("regular", 8, 8, 3, rng)
+        spec = cast(ConvSpec("regular", 8, 8, 3, rng), "single")
         x = tensor(rng.normal(size=(4, 8, 64, 64)).astype(np.float32))
         x.requires_grad = True
         tracemalloc.start()
@@ -451,8 +451,8 @@ class TestTransposed:
         # product is a matrix-vector one, whose last bit can differ.)
         N, C, H, W = shape
         C_out = 8 if H > 32 else 3
-        tc = TransposedConv(C, C_out, factor, rng, kernel=k,
-                            precision="double" if dtype == np.float64 else "single")
+        precision = "double" if dtype == np.float64 else "single"
+        tc = cast(TransposedConv(C, C_out, factor, rng, kernel=k), precision)
         tc.bias.data = rng.normal(size=C_out).astype(dtype)
         x_arr = rng.normal(size=shape).astype(dtype)
         weights = rng.normal(size=(N, C_out, factor * H, factor * W)).astype(dtype)
@@ -461,7 +461,7 @@ class TestTransposed:
         assert [g == w for g, w in zip(got, want)] == [True] * 4
 
     def test_zero_weights_zero_output(self, rng):
-        tc = TransposedConv(2, 3, 2, rng)
+        tc = cast(TransposedConv(2, 3, 2, rng), "single")
         tc.weight.data[:] = 0.0
         tc.bias.data[:] = 0.0
         x = tensor(np.ones((1, 2, 3, 3), dtype=np.float32))
@@ -471,7 +471,7 @@ class TestTransposed:
 
     def test_single_pixel_kernel2_expansion(self, rng):
         # kernel equal to the factor: a 1x1 input paints the kernel verbatim
-        tc = TransposedConv(1, 1, 2, rng, kernel=2, precision="double")
+        tc = TransposedConv(1, 1, 2, rng, kernel=2)
         tc.bias.data[:] = 0.0
         x = dtensor([[[[3.0]]]])
         out = transposed_conv_upsample(x, tc).numpy()
@@ -482,13 +482,13 @@ class TestTransposed:
                                               (3, 2, 2, 6), (3, 2, 3, 3)])
     def test_matches_scatter_oracle(self, rng, factor, h, w, k):
         x_arr = rng.normal(size=(2, 2, h, w))
-        tc = TransposedConv(2, 3, factor, rng, kernel=k, precision="double")
+        tc = TransposedConv(2, 3, factor, rng, kernel=k)
         got = transposed_conv_upsample(dtensor(x_arr), tc).numpy()
         want = naive_transposed(x_arr, tc.weight.numpy(), tc.bias.numpy(), factor)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_gradcheck(self, rng):
-        tc = TransposedConv(2, 2, 2, rng, precision="double")
+        tc = TransposedConv(2, 2, 2, rng)
         x = dtensor(rng.normal(size=(1, 2, 3, 3)), grad=True)
         wrt = [("input", x)] + [(n, t) for n, t in tc.parameters()]
         report = gradcheck(lambda: transposed_conv_upsample(x, tc), wrt)
@@ -498,7 +498,7 @@ class TestTransposed:
     def test_gradcheck_weighted(self, rng, factor, k):
         # k = n gives 1x1 phase convolutions; at (3, 6) the phases read input
         # offsets {0, -1} or {1, 0}, an asymmetric 3x3 phase kernel.
-        tc = TransposedConv(2, 3, factor, rng, kernel=k, precision="double")
+        tc = TransposedConv(2, 3, factor, rng, kernel=k)
         tc.bias.data = rng.normal(size=3)
         x = dtensor(rng.normal(size=(2, 2, 3, 2)), grad=True)
         weights = dtensor(rng.normal(size=(2, 3, 3 * factor, 2 * factor)))
@@ -507,7 +507,7 @@ class TestTransposed:
         assert report.max_rel_error < 1e-7
 
     def test_batch_bitwise_equals_per_item(self, rng):
-        tc = TransposedConv(4, 3, 2, rng)
+        tc = cast(TransposedConv(4, 3, 2, rng), "single")
         tc.bias.data = rng.normal(size=3).astype(np.float32)
         x_arr = rng.normal(size=(3, 4, 5, 6)).astype(np.float32)
         batched = transposed_conv_upsample(tensor(x_arr), tc).numpy()
@@ -518,7 +518,7 @@ class TestTransposed:
     @pytest.mark.parametrize("hw", [(5, 6), (64, 64)])
     @pytest.mark.parametrize("factor,k", [(2, 4), (3, 6)])
     def test_input_grad_batch_bitwise_equals_per_item(self, rng, factor, k, hw):
-        tc = TransposedConv(16, 8, factor, rng, kernel=k)
+        tc = cast(TransposedConv(16, 8, factor, rng, kernel=k), "single")
         x_arr = rng.normal(size=(3, 16) + hw).astype(np.float32)
         weights = rng.normal(size=(3, 8, factor * hw[0], factor * hw[1])).astype(np.float32)
         batched = self.outputs_and_grads(transposed_conv_upsample, tc, x_arr, weights)[1]
@@ -530,7 +530,7 @@ class TestTransposed:
             assert batched[i * size:(i + 1) * size] == single
 
     def test_overflow_names_the_op(self, rng):
-        tc = TransposedConv(2, 2, 2, rng)
+        tc = cast(TransposedConv(2, 2, 2, rng), "single")
         tc.weight.data[:] = 1.0
         x = tensor(np.full((1, 2, 3, 3), 3e38, dtype=np.float32))
         with np.errstate(over="ignore"), pytest.raises(NumericsError,
@@ -552,7 +552,7 @@ class TestMacCounts:
                                                 ("depthwise_separable", 1)])
     def test_conv_variants(self, rng, variant, groups):
         N, C, C_out, H, W, k = 2, 4, 6, 5, 7, 3
-        spec = ConvSpec(variant, C, C_out, k, rng, groups=groups)
+        spec = cast(ConvSpec(variant, C, C_out, k, rng, groups=groups), "single")
         x = tensor(rng.normal(size=(N, C, H, W)).astype(np.float32))
         want = {"regular": N * H * W * C * k * k * C_out,
                 "grouped": N * H * W * (C // 2) * k * k * C_out,
@@ -562,7 +562,7 @@ class TestMacCounts:
     @pytest.mark.parametrize("factor,k", [(2, 4), (2, 2), (3, 6)])
     def test_transposed(self, rng, factor, k):
         N, C, C_out, H, W = 2, 4, 3, 5, 6
-        tc = TransposedConv(C, C_out, factor, rng, kernel=k)
+        tc = cast(TransposedConv(C, C_out, factor, rng, kernel=k), "single")
         x = tensor(rng.normal(size=(N, C, H, W)).astype(np.float32))
         with metering.tagged("up"):
             macs = self.counted(lambda: tc(x))

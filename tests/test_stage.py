@@ -8,7 +8,7 @@ from wau.attention import WauConfig
 from wau.conv import bilinear_upsample
 from wau.stage import (UPSAMPLERS, BilinearStage, TransposedStage, WadStage,
                        WauStage, build_stage)
-from wau.tensor import ContractError, mul, tensor
+from wau.tensor import ContractError, cast, mul, tensor
 
 
 def dmaps(lat_c, src_c, h=2, w=2, ratio=2, seed=3, precision="double"):
@@ -20,8 +20,8 @@ def dmaps(lat_c, src_c, h=2, w=2, ratio=2, seed=3, precision="double"):
 
 
 def wau_stage(lat_c=4, src_c=4, window=2, heads=2, seed=0, precision="double"):
-    cfg = WauConfig(ratio=2, window=window, heads=heads, precision=precision)
-    return WauStage(cfg, lat_c, src_c, np.random.default_rng(seed))
+    cfg = WauConfig(ratio=2, window=window, heads=heads)
+    return cast(WauStage(cfg, lat_c, src_c, np.random.default_rng(seed)), precision)
 
 
 class TestResidualSemantics:
@@ -97,14 +97,14 @@ class TestVariants:
         assert stage.forward(x).shape == (1, 4, 4, 4)
 
     def test_transposed_stage_shape_and_params(self):
-        stage = TransposedStage(4, 6, 2, np.random.default_rng(0))
+        stage = cast(TransposedStage(4, 6, 2, np.random.default_rng(0)), "single")
         x = tensor(np.ones((1, 4, 2, 2), dtype=np.float32))
         assert stage.forward(x).shape == (1, 6, 4, 4)
         names = [n for n, _ in stage.parameters()]
         assert any("weight" in n for n in names)
 
     def test_wad_stage_requires_lateral(self):
-        cfg = WauConfig(ratio=2, window=2, heads=2, precision="double")
+        cfg = WauConfig(ratio=2, window=2, heads=2)
         stage = WadStage(cfg, 4, 4, np.random.default_rng(0))
         _, z = dmaps(4, 4)
         with pytest.raises(ContractError):
@@ -119,7 +119,8 @@ class TestVariants:
         with pytest.raises(ContractError):
             build_stage("bilinear", WauConfig(ratio=0), 4, 4, rng)
         cfg = WauConfig(ratio=2, window=2, heads=2)
-        stages = {name: build_stage(name, cfg, 8, 4, rng) for name in UPSAMPLERS}
+        stages = {name: cast(build_stage(name, cfg, 8, 4, rng), "single")
+                  for name in UPSAMPLERS}
         assert isinstance(stages["wau"], WauStage)
         assert type(stages["wad_only"]) is WadStage
         assert isinstance(stages["bilinear"], BilinearStage)
@@ -127,7 +128,7 @@ class TestVariants:
         assert [stages[n].out_channels for n in UPSAMPLERS] == [8, 4, 4, 4]
 
     def test_single_ratio_4_stage(self):
-        cfg = WauConfig(ratio=4, window=2, heads=2, precision="double")
+        cfg = WauConfig(ratio=4, window=2, heads=2)
         stage = WauStage(cfg, 4, 8, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         z = tensor(rng.normal(size=(1, 8, 4, 4)), precision="double")

@@ -12,7 +12,7 @@ from conftest import naive_attention
 from wau.analysis import gradcheck
 from wau.conv import TransposedConv, bilinear_upsample, transposed_conv_upsample
 from wau.tensor import (ContractError, NumericsError, ShapeError, Tape,
-                        Tensor, add, layer_norm, mul, record, relu,
+                        Tensor, add, cast, layer_norm, mul, record, relu,
                         sum_all, tensor, uniform_param, window_attention, zeros)
 from wau.windows import WindowGrid, merge, partition
 
@@ -51,6 +51,22 @@ class TestTensorConstruction:
 
     def test_zeros(self):
         assert not zeros((2, 3)).data.any()
+
+    def test_parameters_build_in_double(self, rng):
+        assert uniform_param((2, 3), 3, rng).data.dtype == np.float64
+        assert zeros((2, 3)).data.dtype == np.float64
+
+    def test_float_arrays_keep_their_dtype(self):
+        for dtype in (np.float32, np.float64):
+            assert tensor(np.ones(2, dtype=dtype)).data.dtype == dtype
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0], 2.5, np.arange(3)])
+    def test_lists_scalars_and_int_arrays_become_single(self, values):
+        assert tensor(values).data.dtype == np.float32
+
+    def test_explicit_precision_wins(self):
+        assert tensor(np.ones(2), precision="single").data.dtype == np.float32
+        assert tensor(np.ones(2, dtype=np.float32), precision="double").data.dtype == np.float64
 
 
 def test_package_exposes_the_tensor_module():
@@ -138,14 +154,14 @@ class TestOpValues:
 
 class TestTapeBackward:
     def test_sum_gradient_is_ones(self, rng):
-        x = tensor(rng.normal(size=(3, 4)).astype(np.float64))
+        x = tensor(rng.normal(size=(3, 4)), precision="single")
         x.requires_grad = True
         with Tape() as tape:
             tape.backward(sum_all(x))
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
     def test_square_gradient_is_2x(self, rng):
-        x = tensor(rng.normal(size=(2, 3)).astype(np.float64))
+        x = tensor(rng.normal(size=(2, 3)), precision="single")
         x.requires_grad = True
         with Tape() as tape:
             tape.backward(sum_all(mul(x, x)))
@@ -161,7 +177,7 @@ class TestTapeBackward:
         np.testing.assert_allclose(x.grad, [6.0, 8.0], atol=1e-12)
 
     def test_backward_accumulates_linearly(self, rng):
-        x = tensor(rng.normal(size=(3,)).astype(np.float64))
+        x = tensor(rng.normal(size=(3,)), precision="single")
         x.requires_grad = True
         with Tape() as tape:
             loss = sum_all(mul(x, x))
@@ -171,7 +187,7 @@ class TestTapeBackward:
         np.testing.assert_array_equal(x.grad, 2 * once)
 
     def test_only_leaves_receive_gradients(self, rng):
-        x = tensor(rng.normal(size=(2, 3)).astype(np.float64))
+        x = tensor(rng.normal(size=(2, 3)), precision="single")
         x.requires_grad = True
         with Tape() as tape:
             y = mul(x, x)
@@ -197,7 +213,7 @@ class TestTapeBackward:
                 tape.backward(loss)
 
     def test_reset_clears_gradients(self, rng):
-        x = tensor(rng.normal(size=(3,)).astype(np.float64))
+        x = tensor(rng.normal(size=(3,)), precision="single")
         x.requires_grad = True
         with Tape() as tape:
             tape.backward(sum_all(x))
@@ -227,7 +243,7 @@ class TestTapeBackward:
             return Tensor(np.full(shape, fill, dtype=np.float32))
 
         big, inf = raw(2, 3, fill=3e38), raw(1, 2, 2, 2, fill=np.inf)
-        tc = TransposedConv(2, 2, 2, rng)
+        tc = cast(TransposedConv(2, 2, 2, rng), "single")
         tc.bias.data[:] = np.inf  # finite tap products, infinite output
         ops = {
             "add": lambda: add(big, big),
@@ -453,7 +469,7 @@ class TestWindowAttention:
 
     def test_single_precision_agrees_with_double(self, rng):
         double = self.qkv(rng, B=4, Tq=16, Tk=8)
-        single = [tensor(t.data, requires_grad=True) for t in double]
+        single = [tensor(t.data, precision="single", requires_grad=True) for t in double]
         g = rng.normal(size=(4, 8, 16))
         outs = []
         for q, k, v in (double, single):

@@ -17,8 +17,8 @@ import wau.windows
 from conftest import exhaustive_hausdorff
 from wau import metering
 from wau.analysis import gradcheck
-from wau.tensor import (ContractError, NumericsError, ShapeError, Tape, Tensor, record,
-                        tensor)
+from wau.tensor import (ContractError, NumericsError, ShapeError, Tape, Tensor, cast,
+                        record, tensor)
 from wau.toyseg.data import augment, gen_dataset, label_dtype, make_sample
 from wau.toyseg.loss import seg_loss
 from wau.toyseg.metrics import (_directed_sq, dice_score, hausdorff, mean_dice,
@@ -148,13 +148,13 @@ class TestModel:
     @pytest.mark.parametrize("upsampler", ["bilinear", "transposed", "wad_only",
                                            "wau"])
     def test_forward_shape_all_variants(self, upsampler):
-        net = ToyNet(2, 4, upsampler, 1, window=2, heads=2, seed=0)
+        net = cast(ToyNet(2, 4, upsampler, 1, window=2, heads=2, seed=0), "single")
         x = tensor(np.random.default_rng(0).normal(size=(2, 1, 16, 16))
                    .astype(np.float32))
         assert net.forward(x).shape == (2, 2, 16, 16)
 
     def test_depth2_trace_shapes(self):
-        net = ToyNet(2, 4, "wau", 1, window=2, heads=2, seed=0)
+        net = cast(ToyNet(2, 4, "wau", 1, window=2, heads=2, seed=0), "single")
         x = tensor(np.zeros((1, 1, 32, 32), dtype=np.float32))
         with metering.recording() as trace:
             logits = net.forward(x)
@@ -164,33 +164,33 @@ class TestModel:
         assert [r.layer_index for r in trace["attention"]] == [0, 1]
 
     def test_k3_multiclass_logit_channels(self):
-        net = ToyNet(1, 4, "bilinear", 3, seed=0)
+        net = cast(ToyNet(1, 4, "bilinear", 3, seed=0), "single")
         x = tensor(np.zeros((1, 1, 8, 8), dtype=np.float32))
         assert net.forward(x).shape == (1, 4, 8, 8)
 
     def test_min_divisor(self):
-        assert ToyNet(2, 4, "bilinear", 1).min_divisor() == 4
-        assert ToyNet(2, 4, "wau", 1, window=2, heads=2).min_divisor() == 8
+        assert cast(ToyNet(2, 4, "bilinear", 1), "single").min_divisor() == 4
+        assert cast(ToyNet(2, 4, "wau", 1, window=2, heads=2), "single").min_divisor() == 8
 
     def test_indivisible_input_rejected(self):
-        net = ToyNet(2, 4, "wau", 1, window=2, heads=2)
+        net = cast(ToyNet(2, 4, "wau", 1, window=2, heads=2), "single")
         with pytest.raises(ShapeError):
             net.forward(tensor(np.zeros((1, 1, 12, 12), dtype=np.float32)))
 
     def test_parameter_groups_cover_everything(self):
-        net = ToyNet(2, 4, "wau", 1, window=2, heads=2)
+        net = cast(ToyNet(2, 4, "wau", 1, window=2, heads=2), "single")
         groups = net.parameter_groups()
         assert set(groups) == {"encoder", "decoder", "head"}
         assert sum(len(v) for v in groups.values()) == len(net.parameters())
 
     def test_same_seed_same_init(self):
-        a = ToyNet(1, 4, "wau", 1, window=2, heads=2, seed=5)
-        b = ToyNet(1, 4, "wau", 1, window=2, heads=2, seed=5)
+        a = cast(ToyNet(1, 4, "wau", 1, window=2, heads=2, seed=5), "single")
+        b = cast(ToyNet(1, 4, "wau", 1, window=2, heads=2, seed=5), "single")
         for (_, ta), (_, tb) in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(ta.numpy(), tb.numpy())
 
     def test_bilinear_variant_has_no_decoder_params(self):
-        net = ToyNet(2, 4, "bilinear", 1)
+        net = cast(ToyNet(2, 4, "bilinear", 1), "single")
         assert net.parameter_groups()["decoder"] == []
 
     # What each op's backward reads of the tensors it was recorded with: input
@@ -208,7 +208,7 @@ class TestModel:
         # keeps a full-size copy (a padded input, a normalized map), or a
         # tape that keeps outputs no backward reads, fails here.
         N, S, heads = 2, 64, 4
-        net = ToyNet(2, 8, "wau", 1, window=4, heads=heads, seed=0)
+        net = cast(ToyNet(2, 8, "wau", 1, window=4, heads=heads, seed=0), "single")
         rng = np.random.default_rng(0)
         x = tensor(rng.normal(size=(N, 1, S, S)).astype(np.float32))
         masks = (rng.random((N, S, S)) < 0.3).astype(np.int64)
@@ -261,7 +261,7 @@ class TestModel:
                 for item in obj:
                     yield from reachable(item)
 
-        net = ToyNet(2, 4, upsampler, 1, window=2, heads=2, seed=0)
+        net = cast(ToyNet(2, 4, upsampler, 1, window=2, heads=2, seed=0), "single")
         x = tensor(np.random.default_rng(0).normal(size=(2, 1, 16, 16)).astype(np.float32))
         with Tape() as tape:
             seg_loss(net.forward(x), np.zeros((2, 16, 16), dtype=np.int64), 1)
@@ -274,7 +274,7 @@ class TestRecorder:
     @pytest.mark.parametrize("upsampler", ["bilinear", "transposed", "wad_only",
                                            "wau"])
     def test_logits_bitwise_equal_inside_and_outside_recording(self, upsampler):
-        net = ToyNet(2, 4, upsampler, 1, window=2, heads=2, seed=0)
+        net = cast(ToyNet(2, 4, upsampler, 1, window=2, heads=2, seed=0), "single")
         x = tensor(np.random.default_rng(0).normal(size=(2, 1, 16, 16))
                    .astype(np.float32))
         plain = net.forward(x).numpy()
@@ -292,7 +292,7 @@ class TestRecorder:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(wau.attention, "AttentionRecord", CountingRecord)
-        net = ToyNet(2, 4, "wau", 1, window=2, heads=2, seed=0)
+        net = cast(ToyNet(2, 4, "wau", 1, window=2, heads=2, seed=0), "single")
         x = tensor(np.zeros((1, 1, 16, 16), dtype=np.float32))
         net.forward(x)
         assert built == []
@@ -580,7 +580,8 @@ class TestLoss:
     def test_extreme_logits_give_finite_loss_and_gradient(self, rng):
         masks = rng.integers(0, 3, size=(2, 4, 5)).astype(np.int64)
         raw = np.where(rng.random((2, 3, 4, 5)) < 0.5, 1000.0, -1000.0)
-        loss, grad, _ = self.loss_and_grad(tensor(raw, requires_grad=True), masks, 2)
+        logits = tensor(raw, precision="single", requires_grad=True)
+        loss, grad, _ = self.loss_and_grad(logits, masks, 2)
         assert np.isfinite(loss.item()) and np.all(np.isfinite(grad))
 
     @given(raw=hnp.arrays(np.float64, (2, 3, 2, 3), elements=st.floats(-10, 10)),
@@ -614,7 +615,7 @@ class TestLoss:
         assert g8.tobytes() == g64.tobytes()
 
     def test_records_one_tape_node(self, rng):
-        logits = tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        logits = tensor(rng.normal(size=(2, 3, 4, 4)), precision="single", requires_grad=True)
         masks = rng.integers(0, 3, size=(2, 4, 4)).astype(np.int64)
         assert self.loss_and_grad(logits, masks, 2)[2] == 1
 

@@ -12,7 +12,9 @@ import pytest
 import wau.tensor
 from wau.config import (ConfigError, DataConfig, ModelConfig, RunConfig, TrainConfig,
                         parse_config)
-from wau.tensor import Tape, tensor
+from wau.conv import CONV_VARIANTS
+from wau.stage import UPSAMPLERS
+from wau.tensor import Tape, cast, tensor
 from wau.tensorio import read_tensor, write_tensor
 from wau.toyseg.data import gen_dataset
 from wau.toyseg import train as train_module
@@ -106,6 +108,27 @@ def reference_step(upsampler: str = "wau"):
     samples = gen_dataset(cfg.train.batch_size, d.height, d.width, d.classes, cfg.train.seed)
     x = tensor(np.stack([s.image for s in samples]), precision=cfg.train.precision)
     return build_model_from_config(cfg), x, np.stack([s.mask for s in samples])
+
+
+@pytest.mark.parametrize("proj_conv", CONV_VARIANTS)
+@pytest.mark.parametrize("upsampler", UPSAMPLERS)
+def test_single_model_is_the_double_build_cast_bytewise(upsampler, proj_conv):
+    cfg = RunConfig(model=ModelConfig(upsampler=upsampler, proj_conv=proj_conv,
+                                      proj_groups=2 if proj_conv == "grouped" else 1))
+    single = build_model_from_config(cfg)
+    cfg.train.precision = "double"
+    double = build_model_from_config(cfg)
+    assert [n for n, _ in single.parameters()] == [n for n, _ in double.parameters()]
+    for (_, s), (_, d) in zip(single.parameters(), double.parameters()):
+        assert s.data.dtype == np.float32 and d.data.dtype == np.float64
+        assert s.data.tobytes() == d.data.astype(np.float32).tobytes()
+
+
+def test_cast_of_a_double_model_to_double_changes_nothing():
+    model = build_model_from_config(tiny_cfg(precision="double"))
+    before = [t.data for _, t in model.parameters()]
+    assert cast(model, "double") is model
+    assert all(t.data is arr for (_, t), arr in zip(model.parameters(), before))
 
 
 @pytest.mark.parametrize("upsampler", ["bilinear", "transposed", "wad_only", "wau"])
