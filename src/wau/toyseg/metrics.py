@@ -11,10 +11,11 @@ Conventions, fixed here and relied on by the trainer:
 Hausdorff is the exact symmetric max-min over all foreground pixel pairs.
 Each directed term is separable (the first stage of the exact squared
 Euclidean distance transform, Felzenszwalb & Huttenlocher 2012): per target
-row, the squared horizontal distance to that row's nearest target pixel; then,
-per source pixel outside the target, a min over target rows of (row gap)^2 plus
-that distance. Work is (source pixels outside the target) * (target rows), in
-blocks of bounded size, so memory does not grow with |A|*|B|.
+column, the squared vertical distance to that column's nearest target pixel;
+then, per source pixel outside the target, a min over target columns of
+(column gap)^2 plus that distance. Work is (source pixels outside the target)
+* (target columns), in blocks of bounded size, so memory does not grow with
+|A|*|B|, in the narrowest integer type that holds the squared image diagonal.
 """
 from __future__ import annotations
 
@@ -66,34 +67,36 @@ def _directed_sq(src: np.ndarray, dst: np.ndarray) -> int:
 
     src pixels inside dst are at 0. For one outside at (y, x),
     min over (y', x') in dst of (y-y')^2 + (x-x')^2 equals
-    min over dst rows y' of [(y-y')^2 + D[y', x]], where D[y', x] is the squared
-    distance from column x to the nearest dst pixel in row y'. D comes from a
-    running max of dst columns from the left and a running min from the right,
-    and is kept as a (W, rows) table so each source pixel gathers one
-    contiguous row. Integers are exact: int32 while (H-1)^2 + (W-1)^2 < 2^31,
-    else int64."""
-    oy, ox = np.nonzero(src > dst)
-    if len(oy) == 0:
+    min over dst columns x' of [(x-x')^2 + D[x', y]], where D[x', y] is the
+    squared distance from row y to the nearest dst pixel in column x': a
+    (columns, H) table from a running max down each dst column and a running
+    min up it. Source pixels come in row-major order, so a (columns, pixels)
+    block gathers D by repeating each row y by its pixel count. Integers are
+    exact: int16 while (H-1)^2 + (W-1)^2 < 2^15, int32 below 2^31, else int64;
+    flat indices (< H*W), gaps and sentinels (<= 2H) fit the same type."""
+    out = np.flatnonzero(src > dst)
+    if len(out) == 0:
         return 0
     h, w = dst.shape
-    dtype = np.int32 if (h - 1) ** 2 + (w - 1) ** 2 < 1 << 31 else np.int64
-    rows = np.flatnonzero(dst.any(axis=1)).astype(dtype)
-    hit = dst[rows]
-    cols = np.arange(w, dtype=dtype)
-    # Each row holds a dst pixel, so a side with none (a sentinel at least w
+    diag = (h - 1) ** 2 + (w - 1) ** 2
+    dtype = np.int16 if diag < 1 << 15 else np.int32 if diag < 1 << 31 else np.int64
+    oy, ox = np.divmod(out.astype(dtype), w)
+    cols = np.flatnonzero(dst.any(axis=0)).astype(dtype)
+    hit = dst.T[cols]
+    ys = np.arange(h, dtype=dtype)
+    # Each column holds a dst pixel, so a side with none (a sentinel at least h
     # away) never wins the min below.
-    left = np.maximum.accumulate(np.where(hit, cols, -w), axis=1)
-    right = np.minimum.accumulate(np.where(hit, cols, 2 * w)[:, ::-1], axis=1)[:, ::-1]
-    gap = np.minimum(cols - left, right - cols)
-    table = np.ascontiguousarray((gap * gap).T)
-    oy = oy.astype(dtype)
+    up = np.maximum.accumulate(np.where(hit, ys, -h), axis=1)
+    down = np.minimum.accumulate(np.where(hit, ys, 2 * h)[:, ::-1], axis=1)[:, ::-1]
+    table = np.minimum(ys - up, down - ys)
+    table *= table
     worst = 0
-    step = max(1, BLOCK_PAIRS // len(rows))
+    step = max(1, BLOCK_PAIRS // len(cols))
     for lo in range(0, len(oy), step):
-        dist = oy[lo:lo + step, None] - rows
+        dist = cols[:, None] - ox[lo:lo + step]
         dist *= dist
-        dist += table.take(ox[lo:lo + step], axis=0)
-        worst = max(worst, int(dist.min(axis=1).max()))
+        dist += np.repeat(table, np.bincount(oy[lo:lo + step], minlength=h), axis=1)
+        worst = max(worst, int(np.minimum.reduce(dist, axis=0).max()))
     return worst
 
 

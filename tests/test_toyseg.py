@@ -412,11 +412,19 @@ class TestMetrics:
         column = np.zeros_like(diag)        # in the last block; distances past 2^15
         column[:, 0] = True
         yield "diagonal against a column", diag, column
-        for seed in (0, 1):
-            s = make_sample(0, 64, 64, 2, seed=seed).mask
-            t = make_sample(0, 64, 64, 2, seed=seed + 7).mask
-            for label in (1, 2):
-                yield f"generator 64x64 seed {seed} label {label}", s == label, t == label
+        # Squared diagonals 32258 and 32409 are the largest in int16; 32768 and
+        # 32770 the smallest past it, in int32.
+        for shape in ((128, 128), (129, 129), (4, 181), (4, 182)):
+            g = np.zeros(shape, dtype=bool)
+            g[0, 0] = True
+            yield f"corner to corner {shape}", g, g[::-1, ::-1].copy()
+        for size in (64, 128):              # 128x128: the largest int16 image
+            for seed in (0, 1):
+                s = make_sample(0, size, size, 2, seed=seed).mask
+                t = make_sample(0, size, size, 2, seed=seed + 7).mask
+                for label in (1, 2):
+                    yield (f"generator {size}x{size} seed {seed} label {label}",
+                           s == label, t == label)
 
     def test_hausdorff_explicit_cases_equal_exhaustive_scan(self):
         for name, a, b in self._explicit_pairs():
